@@ -4,9 +4,16 @@ compatible-order search and claim-counterexample sweeps.
 Search order is cheapest-fail-first: associative multiplication tables are
 generated by backtracking with incremental associativity pruning, then the
 compatible order relations are grown pairwise with constraint propagation,
-then the involutions are filtered. Isomorphism rejection is by explicit
-canonical form; mirror images (anti-isomorphisms) are deliberately NOT
-identified, since left and right notions differ everywhere in this theory.
+then the involutions are filtered. When an involution is required, the table
+search is star-first: it runs once per involution in normal form,
+(0 1)(2 3)... with the remaining elements fixed, and fills each cell together
+with the partner cell that (ab)* = b*a* determines, so tables that admit no
+involution are never built. Only the identity star fixes an idempotent at
+element 0; that breaks symmetry soundly because every relabeling commutes with
+the identity and every finite semigroup has an idempotent. Isomorphism
+rejection is by explicit canonical form; mirror images (anti-isomorphisms) are
+deliberately NOT identified, since left and right notions differ everywhere in
+this theory.
 """
 
 from __future__ import annotations
@@ -125,15 +132,36 @@ class _AssocSearch:
     touching element t+1) so constraints bind as early as possible; values are
     tried in order, so the emission order is deterministic and partitions by
     the first table row. ``occ[v]`` indexes the filled cells holding value v.
+
+    With an involution ``star``, only the tables it turns into an involution
+    semigroup are visited: giving cell (i, j) the value v gives its partner
+    (j*, i*) the value v* in the same step, as (ij)* = j*i* demands, and a
+    cell that is its own partner accepts only values with v* = v.
     """
 
-    def __init__(self, n: int, fix_first_idempotent: bool = False):
+    def __init__(self, n: int, star=None, fix_first_idempotent: bool = False):
         self.n = n
-        self.fix_first_idempotent = fix_first_idempotent
-        self.cells = []
+        self.star = star
+        order = []
         for t in range(n):
-            self.cells.extend((t, j) for j in range(t + 1))
-            self.cells.extend((i, t) for i in range(t))
+            order.extend((t, j) for j in range(t + 1))
+            order.extend((i, t) for i in range(t))
+        self.cells, self.mates, self.values = [], [], []
+        mated = set()
+        for i, j in order:
+            if (i, j) in mated:
+                continue
+            mate = None if star is None else (star[j], star[i])
+            if mate == (i, j):
+                mate, values = None, tuple(v for v in range(n) if star[v] == v)
+            else:
+                values = range(n)
+                mated.add(mate)
+            if not self.cells and fix_first_idempotent:
+                values = (0,)
+            self.cells.append((i, j))
+            self.mates.append(mate)
+            self.values.append(values)
         self.m = [[None] * n for _ in range(n)]
         self.occ = [[] for _ in range(n)]
 
@@ -172,26 +200,38 @@ class _AssocSearch:
         return True
 
     def run(self, visit):
-        n, m, occ, cells = self.n, self.m, self.occ, self.cells
+        m, occ, star = self.m, self.occ, self.star
+        cells, mates, values = self.cells, self.mates, self.values
         last = len(cells) - 1
 
         def fill(k):
             i, j = cells[k]
-            values = (0,) if k == 0 and self.fix_first_idempotent else range(n)
-            for v in values:
+            mate = mates[k]
+            for v in values[k]:
                 m[i][j] = v
                 occ[v].append((i, j))
+                if mate is not None:
+                    w = star[v]
+                    m[mate[0]][mate[1]] = w
+                    occ[w].append(mate)
+                # cells are filled in partner pairs, so (ab)c = a(bc) holds
+                # exactly when its star image (c*b*)a* = c*(b*a*) does, and
+                # every triple through the mate is the image of one through
+                # (i, j): checking (i, j) alone suffices
                 if self._ok(i, j):
                     if k == last:
                         visit(tuple(map(tuple, m)))
                     else:
                         fill(k + 1)
+                if mate is not None:
+                    occ[w].pop()
                 occ[v].pop()
             m[i][j] = None
+            if mate is not None:
+                m[mate[0]][mate[1]] = None
 
-        if n == 0:
-            return
-        fill(0)
+        if cells:
+            fill(0)
 
 
 def associative_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -276,10 +316,6 @@ def _anti_automorphic(mult, p):
     return True
 
 
-def _admits_involution(mult):
-    return any(_anti_automorphic(mult, p) for p in _involutive_perms(len(mult)))
-
-
 def _involutions(mult, leq):
     n = len(mult)
     out = []
@@ -314,18 +350,28 @@ def semigroup_representatives(n: int, star_admitting: bool = False):
     """Canonical representatives of the associative tables up to isomorphism,
     optionally restricted to tables admitting an involutive anti-automorphism.
 
-    The underlying search fixes an idempotent at element 0 (every finite
-    semigroup has one, so every isomorphism class is still reached); the
-    completeness of the result is what the naive-oracle tests verify.
+    Without the restriction, the search fixes an idempotent at element 0
+    (every finite semigroup has one, so every isomorphism class is still
+    reached). With it, the search runs once per involution in normal form,
+    the transpositions (0 1)(2 3)...(2k-2 2k-1) with the other elements fixed,
+    for k = 0..n//2: every involution is conjugate to one of these, so every
+    class that admits one has a labeled table respecting a normal-form star.
+    Each run visits only the tables its star respects. Under the identity star
+    (k = 0) the search still fixes an idempotent at element 0, since every
+    relabeling commutes with the identity; the other stars break no symmetry.
+    The completeness of the result is what the naive-oracle tests verify.
     """
     reps = set()
 
     def visit(mult):
-        if star_admitting and not _admits_involution(mult):
-            return
         reps.add(_canonical_mult(mult))
 
-    _AssocSearch(n, fix_first_idempotent=True).run(visit)
+    if star_admitting:
+        for k in range(n // 2 + 1):
+            star = tuple(x ^ 1 if x < 2 * k else x for x in range(n))
+            _AssocSearch(n, star, fix_first_idempotent=k == 0).run(visit)
+    else:
+        _AssocSearch(n, fix_first_idempotent=True).run(visit)
     return tuple(sorted(reps))
 
 
@@ -456,12 +502,13 @@ def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
                 continue
             if POE in tiers and greatest_element(leq) is None:
                 continue
-            join_t, meet_t = bounds_tables(leq)
-            if (VEE in tiers) and (any(v is None for row in join_t for v in row)
-                                   or not _join_laws_hold(mult, leq, join_t)):
-                continue
-            if WEDGE in tiers and any(v is None for row in meet_t for v in row):
-                continue
+            if VEE in tiers or WEDGE in tiers:
+                join_t, meet_t = bounds_tables(leq)
+                if (VEE in tiers) and (any(v is None for row in join_t for v in row)
+                                       or not _join_laws_hold(mult, leq, join_t)):
+                    continue
+                if WEDGE in tiers and any(v is None for row in meet_t for v in row):
+                    continue
             if want_star:
                 stab = [p for p in mult_auts if _apply_perm_leq(leq, p) == leq]
                 stab_nontrivial = [p for p in stab if any(p[i] != i for i in range(n))]

@@ -9,7 +9,7 @@ from itertools import permutations, product
 
 from starsemi import RawStructure, validate_structure
 from starsemi.enumeration import canonical_form
-from starsemi.structure import greatest_element, reflexive_transitive_closure
+from starsemi.structure import equality_leq, greatest_element, reflexive_transitive_closure
 
 EXAMPLE2_MULT = (
     (0, 0, 0, 0, 0),
@@ -97,12 +97,35 @@ def brute_associative_tables(n):
     return
 
 
+def involutive_perms(n):
+    return [p for p in permutations(range(n)) if all(p[p[x]] == x for x in range(n))]
+
+
+def anti_automorphic(mult, p):
+    """(ab)p = (bp)(ap) for every a, b, by direct scan."""
+    n = len(mult)
+    return all(p[mult[a][b]] == mult[p[b]][p[a]] for a in range(n) for b in range(n))
+
+
+def admits_involution(mult):
+    return any(anti_automorphic(mult, p) for p in involutive_perms(len(mult)))
+
+
+def star_admitting_class_forms(n):
+    """Canonical forms (equality order, no star) of the isomorphism classes
+    of associative tables admitting an involutive anti-automorphism, by
+    brute-force generate-filter-dedupe (tiny n only)."""
+    eq = equality_leq(n)
+    return {canonical_form(RawStructure(n=n, mult=mult, leq=eq))
+            for mult in brute_associative_tables(n) if admits_involution(mult)}
+
+
 def naive_model_forms(n, require_involution=True, require_greatest=True):
     """Canonical forms of ALL valid models of order n by full
     generate-filter-dedupe; the independent completeness oracle."""
     forms = set()
     posets = list(all_posets(n))
-    stars = [p for p in permutations(range(n)) if all(p[p[x]] == x for x in range(n))]
+    stars = involutive_perms(n)
     for mult in brute_associative_tables(n):
         for leq in posets:
             compatible = all(
@@ -114,8 +137,7 @@ def naive_model_forms(n, require_involution=True, require_greatest=True):
                 continue
             if require_involution:
                 for star in stars:
-                    if any(star[mult[a][b]] != mult[star[b]][star[a]]
-                           for a in range(n) for b in range(n)):
+                    if not anti_automorphic(mult, star):
                         continue
                     if any(leq[a][b] and not leq[star[a]][star[b]]
                            for a in range(n) for b in range(n)):

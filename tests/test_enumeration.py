@@ -9,19 +9,23 @@ from starsemi import (
     validate_structure, write_catalog,
 )
 from starsemi import RawStructure
-from starsemi.enumeration import _involutions
+from starsemi.enumeration import _AssocSearch, _involutions
 from starsemi.fileformat import load_structure
-from starsemi.structure import chain_leq, greatest_element
+from starsemi.structure import chain_leq, equality_leq, greatest_element
 
 from support import (
-    EXAMPLE2_MULT, EXAMPLE2_STAR, brute_associative_tables, chain2, naive_model_forms,
+    EXAMPLE2_MULT, EXAMPLE2_STAR, admits_involution, anti_automorphic,
+    brute_associative_tables, chain2, involutive_perms, naive_model_forms,
+    star_admitting_class_forms,
 )
 
 # Golden counts, established by the naive generate-filter-dedupe oracle at
 # orders 1-3 (test_matches_naive_oracle below) and by the verified enumerator
-# at order 4.
+# at order 4 (and at order 5 for the star-admitting classes, where the earlier
+# generate-then-filter enumerator gave the same 405 representatives).
 LABELED_ASSOCIATIVE = {1: 1, 2: 8, 3: 113, 4: 3492}
 SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188}
+STAR_ADMITTING_CLASSES = {1: 1, 2: 3, 3: 12, 4: 64, 5: 405}
 INVOLUTION_POE_MODELS = {1: 1, 2: 4, 3: 34, 4: 482}
 
 
@@ -48,6 +52,34 @@ def test_representatives_complete_and_distinct():
         reps = semigroup_representatives(n)
         assert len({_canonical_mult(m) for m in brute_associative_tables(n)}) == len(reps)
         assert all(_canonical_mult(m) == m for m in reps)
+
+
+def test_star_search_visits_exactly_the_tables_the_star_respects():
+    for n in (1, 2, 3):
+        brute = list(brute_associative_tables(n))
+        for star in involutive_perms(n):
+            visited = []
+            _AssocSearch(n, star).run(visited.append)
+            assert len(set(visited)) == len(visited)
+            assert set(visited) == {m for m in brute if anti_automorphic(m, star)}
+
+
+def test_star_admitting_representative_counts():
+    # the keyword spelling matches enumerate_models, so order 5 reuses the
+    # cached search of the order-5 catalog when that has run
+    for n, want in STAR_ADMITTING_CLASSES.items():
+        assert len(semigroup_representatives(n, star_admitting=True)) == want
+
+
+def test_star_admitting_representatives_match_oracle():
+    for n in (1, 2, 3):
+        eq = equality_leq(n)
+        forms = [canonical_form(RawStructure(n=n, mult=m, leq=eq))
+                 for m in semigroup_representatives(n, star_admitting=True)]
+        assert len(set(forms)) == len(forms)
+        assert set(forms) == star_admitting_class_forms(n)
+    assert semigroup_representatives(4, star_admitting=True) == tuple(
+        m for m in semigroup_representatives(4) if admits_involution(m))
 
 
 def test_order1_involution_le_single_model():
