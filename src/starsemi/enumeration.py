@@ -3,8 +3,11 @@ compatible-order search and claim-counterexample sweeps.
 
 Search order is cheapest-fail-first: associative multiplication tables are
 generated by backtracking with incremental associativity pruning, then the
-compatible order relations are grown pairwise with constraint propagation,
-then the involutions are filtered. When an involution is required, the table
+compatible order relations are grown pairwise with constraint propagation on
+per-element bitmasks, then the involutions are filtered. When a greatest
+element is required, the order search cuts every branch in which each element
+already has some element decided not below it, since no completion of such a
+branch has a top. When an involution is required, the table
 search is star-first: it runs once per involution in normal form,
 (0 1)(2 3)... with the remaining elements fixed, and fills each cell together
 with the partner cell that (ab)* = b*a* determines, so tables that admit no
@@ -21,8 +24,9 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice, permutations, product
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .claims import (
@@ -31,7 +35,7 @@ from .claims import (
 from .fileformat import serialize_structure
 from .structure import (
     INVOLUTION, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, RawStructure, VEE, WEDGE,
-    bounds_tables, greatest_element, tier_closure, validate_structure,
+    bounds_tables, tier_closure, validate_structure,
 )
 
 EXHAUSTIVE_MAX_ORDER = 6
@@ -316,14 +320,15 @@ def _anti_automorphic(mult, p):
     return True
 
 
-def _involutions(mult, leq):
-    n = len(mult)
-    out = []
-    for p in _involutive_perms(n):
-        if _anti_automorphic(mult, p) and all(
-                not leq[a][b] or leq[p[a]][p[b]] for a in range(n) for b in range(n)):
-            out.append(tuple(p))
-    return out
+def _involutions(mult):
+    """The involutive permutations that are anti-automorphisms of ``mult``:
+    every candidate star of the table, whatever the order."""
+    return [p for p in _involutive_perms(len(mult)) if _anti_automorphic(mult, p)]
+
+
+def _preserves_order(leq, p):
+    n = len(leq)
+    return all(leq[p[a]][p[b]] for a in range(n) for b in range(n) if leq[a][b])
 
 
 def automorphisms(mult, leq=None, star=None):
@@ -378,61 +383,100 @@ def semigroup_representatives(n: int, star_admitting: bool = False):
 # ---------------------------------------------------------------------------
 # compatible order search
 
-def _propagate(rel, n, mult, star, a, b):
-    """Force a <= b plus all consequences; False on conflict with decisions."""
+class _Memo(dict):
+    """Dict that computes and keeps ``fn(key)`` for a missing key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _implied_pairs(mult, star):
+    """For each ordered pair (p, q), the distinct pairs (u, v) that p <= q
+    forces: (pc, qc) and (cp, cq) by compatibility, (p*, q*) by the star."""
+    n = len(mult)
+    out = [[()] * n for _ in range(n)]
+    for p in range(n):
+        for q in range(n):
+            if p != q:
+                forced = [(mult[p][c], mult[q][c]) for c in range(n)]
+                forced += [(mult[c][p], mult[c][q]) for c in range(n)]
+                if star is not None:
+                    forced.append((star[p], star[q]))
+                out[p][q] = tuple(dict.fromkeys((u, v) for u, v in forced if u != v))
+    return out
+
+
+def _propagate(up, down, no, implied, bits, a, b):
+    """Force a <= b plus all consequences into the bitmask state, in place;
+    False on conflict with decisions.
+
+    ``up[x]`` holds every y with x <= y decided true, ``down[y]`` every x with
+    x <= y, and ``no[x]`` every y with x <= y decided false, which includes the
+    reverse of every decided strict pair (antisymmetry). ``bits[mask]``
+    lists the elements of a mask."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
-        cur = rel[x][y]
-        if cur == 1:
+        if up[x] >> y & 1:
             continue
-        if cur == -1:
-            return False
-        if x != y and rel[y][x] == 1:
-            return False  # antisymmetry
-        rel[x][y] = 1
-        if x != y and rel[y][x] == 0:
-            rel[y][x] = -1
-        for c in range(n):
-            if rel[y][c] == 1 and rel[x][c] != 1:
-                stack.append((x, c))
-            if rel[c][x] == 1 and rel[c][y] != 1:
-                stack.append((c, y))
-        for c in range(n):
-            pq = (mult[x][c], mult[y][c])
-            if pq[0] != pq[1] and rel[pq[0]][pq[1]] != 1:
-                stack.append(pq)
-            pq = (mult[c][x], mult[c][y])
-            if pq[0] != pq[1] and rel[pq[0]][pq[1]] != 1:
-                stack.append(pq)
-        if star is not None:
-            pq = (star[x], star[y])
-            if pq[0] != pq[1] and rel[pq[0]][pq[1]] != 1:
-                stack.append(pq)
+        above = up[y]
+        for p in bits[down[x]]:  # transitivity: everything <= x falls below everything >= y
+            new = above & ~up[p]
+            if not new:
+                continue
+            if new & no[p]:
+                return False
+            up[p] |= new
+            bit = 1 << p
+            for q in bits[new]:
+                down[q] |= bit
+                no[q] |= bit
+                for u, v in implied[p][q]:
+                    if not up[u] >> v & 1:
+                        stack.append((u, v))
     return True
 
 
-def _compatible_order_stream(mult, star=None):
+def _compatible_order_stream(mult, star=None, require_greatest=False):
     """All partial orders making (mult, leq[, star]) order-compatible (and
-    star order-preserving), as boolean matrices, sparsest-first."""
+    star order-preserving), as boolean matrices, sparsest-first.
+
+    Pairs are decided in row-major order, "not <=" before "<=" with its
+    propagated consequences. With ``require_greatest`` a branch is cut as soon
+    as every element t has some a with a <= t decided false: no completion of
+    it has a greatest element. The surviving leaves are exactly the leaves
+    with a greatest element, in the same order."""
     n = len(mult)
+    implied = _implied_pairs(mult, star)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-
-    def rec(rel, k):
-        while k < len(pairs) and rel[pairs[k][0]][pairs[k][1]] != 0:
-            k += 1
-        if k == len(pairs):
-            yield tuple(tuple(v == 1 for v in row) for row in rel)
-            return
-        i, j = pairs[k]
-        rel[i][j] = -1
-        yield from rec(rel, k + 1)
-        rel[i][j] = 0
-        trial = [row[:] for row in rel]
-        if _propagate(trial, n, mult, star, i, j):
-            yield from rec(trial, k + 1)
-
-    yield from rec([[1 if i == j else 0 for j in range(n)] for i in range(n)], 0)
+    full = (1 << n) - 1
+    bits = _Memo(lambda mask: tuple(i for i in range(n) if mask >> i & 1))
+    rows = _Memo(lambda mask: tuple(bool(mask >> j & 1) for j in range(n)))
+    singletons = [1 << i for i in range(n)]
+    stack = [(0, singletons, singletons[:], [0] * n)]
+    while stack:
+        k, up, down, no = stack.pop()
+        if require_greatest and reduce(or_, no) == full:
+            continue
+        for k in range(k, len(pairs)):
+            i, j = pairs[k]
+            if not (up[i] | no[i]) >> j & 1:
+                break
+        else:
+            yield tuple(rows[u] for u in up)
+            continue
+        # pushed first, explored second: i <= j with its consequences
+        up2, down2, no2 = up[:], down[:], no[:]
+        if _propagate(up2, down2, no2, implied, bits, i, j):
+            stack.append((k + 1, up2, down2, no2))
+        no1 = no[:]
+        no1[i] |= 1 << j
+        stack.append((k + 1, up, down, no1))
 
 
 def _join_laws_hold(mult, leq, join_t):
@@ -450,26 +494,12 @@ def _join_laws_hold(mult, leq, join_t):
     return True
 
 
-def compatible_orders(mult, star=None, *, require_greatest=False, require_joins=False,
-                      require_meets=False, require_join_distributivity=False,
-                      dedupe=True) -> Iterator[tuple[tuple[bool, ...], ...]]:
-    """Stream the partial orders compatible with a fixed multiplication table
-    (and involution), optionally constrained, deduplicated up to the
-    automorphisms of (mult, star). The equality order is always compatible
-    and comes first."""
-    mult = tuple(tuple(row) for row in mult)
-    star = tuple(star) if star is not None else None
-    if star is not None:
-        # the unary operation must be an involutive anti-automorphism before
-        # any order can make the triple valid; otherwise the stream is empty
-        if any(star[star[x]] != x for x in range(len(mult))) or not _anti_automorphic(mult, star):
-            return
-    auts = automorphisms(mult, star=star) if dedupe else []
-    nontrivial_auts = [p for p in auts if any(p[i] != i for i in range(len(p)))]
-    for leq in _compatible_order_stream(mult, star):
+def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_joins,
+                     require_meets, require_join_distributivity):
+    """The compatible order stream, minus orders that are not the least in
+    their orbit under ``nontrivial_auts`` and orders failing a requirement."""
+    for leq in _compatible_order_stream(mult, star, require_greatest):
         if nontrivial_auts and any(_apply_perm_leq(leq, p) < leq for p in nontrivial_auts):
-            continue
-        if require_greatest and greatest_element(leq) is None:
             continue
         if require_joins or require_meets or require_join_distributivity:
             join_t, meet_t = bounds_tables(leq)
@@ -480,6 +510,32 @@ def compatible_orders(mult, star=None, *, require_greatest=False, require_joins=
             if require_join_distributivity and not _join_laws_hold(mult, leq, join_t):
                 continue
         yield leq
+
+
+def _nontrivial(perms):
+    return [p for p in perms if any(p[i] != i for i in range(len(p)))]
+
+
+def compatible_orders(mult, star=None, *, require_greatest=False, require_joins=False,
+                      require_meets=False, require_join_distributivity=False,
+                      dedupe=True) -> Iterator[tuple[tuple[bool, ...], ...]]:
+    """Stream the partial orders compatible with a fixed multiplication table
+    (and involution), optionally constrained, deduplicated up to the
+    automorphisms of (mult, star). The equality order is always compatible
+    and comes first. With ``require_greatest`` the search cuts every branch
+    in which no element can still be the top."""
+    mult = tuple(tuple(row) for row in mult)
+    star = tuple(star) if star is not None else None
+    if star is not None:
+        # the unary operation must be an involutive anti-automorphism before
+        # any order can make the triple valid; otherwise the stream is empty
+        if any(star[star[x]] != x for x in range(len(mult))) or not _anti_automorphic(mult, star):
+            return
+    auts = automorphisms(mult, star=star) if dedupe else []
+    yield from _filtered_orders(
+        mult, star, _nontrivial(auts), require_greatest=require_greatest,
+        require_joins=require_joins, require_meets=require_meets,
+        require_join_distributivity=require_join_distributivity)
 
 
 # ---------------------------------------------------------------------------
@@ -495,34 +551,21 @@ def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
     want_star = INVOLUTION in tiers
     emitted = 0
     for mult in semigroup_representatives(n, star_admitting=want_star):
-        mult_auts = automorphisms(mult)
-        nontrivial = [p for p in mult_auts if any(p[i] != i for i in range(n))]
-        for leq in _compatible_order_stream(mult, None):
-            if nontrivial and any(_apply_perm_leq(leq, p) < leq for p in nontrivial):
-                continue
-            if POE in tiers and greatest_element(leq) is None:
-                continue
-            if VEE in tiers or WEDGE in tiers:
-                join_t, meet_t = bounds_tables(leq)
-                if (VEE in tiers) and (any(v is None for row in join_t for v in row)
-                                       or not _join_laws_hold(mult, leq, join_t)):
-                    continue
-                if WEDGE in tiers and any(v is None for row in meet_t for v in row):
-                    continue
+        nontrivial = _nontrivial(automorphisms(mult))
+        table_stars = _involutions(mult) if want_star else ()
+        orders = _filtered_orders(
+            mult, None, nontrivial, require_greatest=POE in tiers, require_joins=VEE in tiers,
+            require_meets=WEDGE in tiers, require_join_distributivity=VEE in tiers)
+        for leq in orders:
             if want_star:
-                stab = [p for p in mult_auts if _apply_perm_leq(leq, p) == leq]
-                stab_nontrivial = [p for p in stab if any(p[i] != i for i in range(n))]
-                for star in _involutions(mult, leq):
-                    if stab_nontrivial and any(
-                            _apply_perm_star(star, p, _perm_inverse(p)) < star
-                            for p in stab_nontrivial):
-                        continue
-                    yield _finish_model(mult, leq, star, tiers)
-                    emitted += 1
-                    if spec.limit is not None and emitted >= spec.limit:
-                        return
+                stab = [p for p in nontrivial if _apply_perm_leq(leq, p) == leq]
+                stars = [star for star in table_stars if _preserves_order(leq, star)
+                         and not any(_apply_perm_star(star, p, _perm_inverse(p)) < star
+                                     for p in stab)]
             else:
-                yield _finish_model(mult, leq, None, tiers)
+                stars = [None]
+            for star in stars:
+                yield _finish_model(mult, leq, star, tiers)
                 emitted += 1
                 if spec.limit is not None and emitted >= spec.limit:
                     return

@@ -10,6 +10,7 @@ greatest element and the partial join/meet tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional
 
 MAX_ORDER = 24
@@ -215,20 +216,34 @@ def downward_closure(S: OrderedAlgebra, H: Iterable[int]) -> frozenset[int]:
 
 
 def bounds_tables(leq):
-    """Brute-force partial LUB/GLB tables for an arbitrary relation matrix."""
+    """Partial LUB/GLB tables for an arbitrary relation matrix.
+
+    With up[a] the set of u where a <= u and down[a] the set of u where
+    u <= a, held as bitmasks, the join of a and b is the unique u in
+    U = up[a] & up[b] with U a subset of up[u]; the meet is the dual. An entry
+    is None when no element or more than one qualifies, so the tables are
+    defined even when ``leq`` is not a partial order."""
     n = len(leq)
+    weights = [1 << u for u in range(n)]
+    up = [sum(compress(weights, row)) for row in leq]
+    down = [sum(compress(weights, col)) for col in zip(*leq)]
     join_t = [[None] * n for _ in range(n)]
     meet_t = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            ubs = [u for u in range(n) if leq[a][u] and leq[b][u]]
-            least = [u for u in ubs if all(leq[u][v] for v in ubs)]
-            if len(least) == 1:
-                join_t[a][b] = least[0]
-            lbs = [u for u in range(n) if leq[u][a] and leq[u][b]]
-            greatest = [u for u in lbs if all(leq[v][u] for v in lbs)]
-            if len(greatest) == 1:
-                meet_t[a][b] = greatest[0]
+    for table, cover in ((join_t, up), (meet_t, down)):
+        for a in range(n):
+            for b in range(a, n):
+                common = rest = cover[a] & cover[b]
+                found = None
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    u = low.bit_length() - 1
+                    if not common & ~cover[u]:
+                        if found is not None:
+                            found = None
+                            break
+                        found = u
+                table[a][b] = table[b][a] = found
     return tuple(map(tuple, join_t)), tuple(map(tuple, meet_t))
 
 

@@ -64,6 +64,27 @@ def scan_meet(S, a, b):
     return greatest[0] if len(greatest) == 1 else None
 
 
+def oracle_bounds_tables(leq):
+    """Join and meet tables of an arbitrary relation matrix, each entry the
+    unique least upper (greatest lower) bound by definition, else None."""
+    n = len(leq)
+
+    def unique(found):
+        return found[0] if len(found) == 1 else None
+
+    join_t, meet_t = [], []
+    for a in range(n):
+        join_row, meet_row = [], []
+        for b in range(n):
+            upper = [u for u in range(n) if leq[a][u] and leq[b][u]]
+            join_row.append(unique([u for u in upper if all(leq[u][v] for v in upper)]))
+            lower = [u for u in range(n) if leq[u][a] and leq[u][b]]
+            meet_row.append(unique([u for u in lower if all(leq[v][u] for v in lower)]))
+        join_t.append(tuple(join_row))
+        meet_t.append(tuple(meet_row))
+    return tuple(join_t), tuple(meet_t)
+
+
 def all_posets(n):
     """Every reflexive-antisymmetric-transitive boolean matrix on n elements,
     by brute force over the off-diagonal cells."""

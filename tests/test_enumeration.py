@@ -9,14 +9,14 @@ from starsemi import (
     validate_structure, write_catalog,
 )
 from starsemi import RawStructure
-from starsemi.enumeration import _AssocSearch, _involutions
+from starsemi.enumeration import _AssocSearch, _compatible_order_stream, _involutions
 from starsemi.fileformat import load_structure
-from starsemi.structure import chain_leq, equality_leq, greatest_element
+from starsemi.structure import equality_leq, greatest_element
 
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, admits_involution, anti_automorphic,
     brute_associative_tables, chain2, involutive_perms, naive_model_forms,
-    star_admitting_class_forms,
+    oracle_bounds_tables, star_admitting_class_forms,
 )
 
 # Golden counts, established by the naive generate-filter-dedupe oracle at
@@ -105,8 +105,7 @@ def test_matches_naive_oracle_orders_1_to_3():
 
 def test_right_zero_admits_no_involution():
     right_zero = ((0, 1), (0, 1))
-    for leq in (chain_leq(2), tuple(tuple(reversed(r)) for r in reversed(chain_leq(2)))):
-        assert _involutions(right_zero, leq) == []
+    assert _involutions(right_zero) == []
     spec = ModelSpec(order=2, required_tiers=frozenset({INVOLUTION, POE}))
     from starsemi.enumeration import _canonical_mult
     emitted_mults = {_canonical_mult(S.raw.mult) for S in enumerate_models(spec)}
@@ -184,6 +183,49 @@ def test_compatible_orders_constraints():
                                           require_meets=True))
     for leq in lattice_only:
         assert greatest_element(leq) is not None
+
+
+def test_top_pruned_order_stream_keeps_exactly_the_orders_with_a_top():
+    for n in (1, 2, 3, 4):
+        for mult in semigroup_representatives(n):
+            stars = [p for p in involutive_perms(n) if anti_automorphic(mult, p)]
+            for star in [None] + stars:
+                full = _compatible_order_stream(mult, star)
+                pruned = list(_compatible_order_stream(mult, star, require_greatest=True))
+                assert pruned == [leq for leq in full if greatest_element(leq) is not None]
+
+
+def _has_all(table):
+    return all(v is not None for row in table for v in row)
+
+
+def _join_distributive(mult, leq):
+    join_t, _ = oracle_bounds_tables(leq)
+    n = len(mult)
+    return _has_all(join_t) and all(
+        join_t[mult[a][c]][mult[b][c]] == mult[join_t[a][b]][c]
+        and join_t[mult[c][a]][mult[c][b]] == mult[c][join_t[a][b]]
+        for a in range(n) for b in range(n) for c in range(n))
+
+
+# (flag, definition-level test, EXAMPLE2 order counts with and without the star)
+EXAMPLE2_ORDER_FILTERS = (
+    ("require_greatest", lambda mult, leq: greatest_element(leq) is not None, 3, 5),
+    ("require_joins", lambda mult, leq: _has_all(oracle_bounds_tables(leq)[0]), 3, 5),
+    ("require_meets", lambda mult, leq: _has_all(oracle_bounds_tables(leq)[1]), 3, 5),
+    ("require_join_distributivity", _join_distributive, 1, 1),
+)
+
+
+def test_compatible_orders_requirements_filter_the_unconstrained_stream():
+    for star, want_all in ((EXAMPLE2_STAR, 5), (None, 9)):
+        for dedupe in (True, False):
+            everything = list(compatible_orders(EXAMPLE2_MULT, star, dedupe=dedupe))
+            assert len(everything) == want_all
+            for flag, holds, with_star, without_star in EXAMPLE2_ORDER_FILTERS:
+                got = list(compatible_orders(EXAMPLE2_MULT, star, dedupe=dedupe, **{flag: True}))
+                assert got == [leq for leq in everything if holds(EXAMPLE2_MULT, leq)]
+                assert len(got) == (with_star if star is not None else without_star)
 
 
 def test_limit_and_partial_stream_marker():

@@ -12,19 +12,22 @@ from starsemi import (
     WEDGE,
     RawStructure,
     StructureError,
+    compatible_orders,
     downward_closure,
     equality_leq,
     join,
     meet,
+    semigroup_representatives,
     tier_closure,
     validate_structure,
 )
 from starsemi.sampling import random_model
+from starsemi.structure import bounds_tables
 import random
 
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, chain2, diamond_constant, example2, mk, one_point,
-    scan_join, scan_meet,
+    oracle_bounds_tables, scan_join, scan_meet,
 )
 
 
@@ -114,6 +117,23 @@ def test_associativity_violation_witnessed():
     for v in vs:
         a, b, c = v.witness
         assert S.prod(S.prod(a, b), c) != S.prod(a, S.prod(b, c))
+
+
+def test_bounds_tables_match_oracle_on_random_relations():
+    # arbitrary relation matrices: neither reflexive, antisymmetric nor
+    # transitive in general, at densities where bounds both exist and clash
+    rng = random.Random(20261018)
+    for n in range(1, 8):
+        for _ in range(300):
+            density = rng.choice((0.2, 0.5, 0.8, 0.95))
+            leq = tuple(tuple(rng.random() < density for _ in range(n)) for _ in range(n))
+            assert bounds_tables(leq) == oracle_bounds_tables(leq)
+
+
+def test_bounds_tables_match_oracle_on_order4_compatible_orders():
+    for mult in semigroup_representatives(4):
+        for leq in compatible_orders(mult, dedupe=False):
+            assert bounds_tables(leq) == oracle_bounds_tables(leq)
 
 
 @settings(deadline=None, max_examples=40)
