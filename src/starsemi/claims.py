@@ -5,7 +5,9 @@ structure-level condition) and a body whose quantifiers run exhaustively over
 the elements. Guarded instantiations (an element failing an antecedent, a
 meet that does not exist) are skipped as vacuous and not counted. A claim
 never re-uses the characterization it asserts: bodies go through the
-definitional operations of the ideals/regularity/filters modules.
+definitional operations of the ideals/regularity/filters modules, shared per
+structure by ``StructureAnalysis``, and evaluate products, stars, bounds and
+the order by reading the structure's tables directly.
 
 Claim ids are stable. Theorems stated as equivalences are split into -fwd
 and -conv entries because the two directions carry different hypotheses;
@@ -16,10 +18,10 @@ the same way (e.g. prop07 / prop07-bi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Optional
 
-from .filters import filter_generated, n_class_partition, thm26_set
+from .filters import _partition, filter_generated, thm26_set
 from .ideals import classify_all, generated_left, generated_right, in_ideal_generated
 from .regularity import regularity_profile
 from .structure import (
@@ -57,7 +59,12 @@ class ClaimReport:
 
 
 class StructureAnalysis:
-    """Lazy caches shared by the claim checks on one structure."""
+    """The structure facts that the claim checks on one structure share, each
+    computed once, on first use: the element classification, the regularity
+    profile, the generated filter of every element, the filter-class
+    partition built from those filters (no second saturation), and the star
+    window {y | x <= e y* e} of every element. Each equals what the public
+    function of its module returns for the same structure."""
 
     def __init__(self, S: OrderedAlgebra):
         self.S = S
@@ -76,7 +83,11 @@ class StructureAnalysis:
 
     @cached_property
     def partition(self):
-        return n_class_partition(self.S)
+        return _partition(self.S, self.filter_members)
+
+    @cached_property
+    def windows(self):
+        return tuple(thm26_set(self.S, x) for x in self.S.elements())
 
 
 # ---------------------------------------------------------------------------
@@ -96,69 +107,38 @@ def _cond_star_intra_regular(ctx):
 
 def _cond_star_square_membership(ctx):
     S = ctx.S
-    return all(
-        in_ideal_generated(S, x, S.prod(S.conj(x), S.conj(x)))
-        for x in S.elements())
+    mult, star = S.mult, S.star
+    return all(in_ideal_generated(S, x, mult[star[x]][star[x]]) for x in S.elements())
 
 
 def _cond_square_membership(ctx):
     S = ctx.S
-    return all(in_ideal_generated(S, x, S.prod(x, x)) for x in S.elements())
+    return all(in_ideal_generated(S, x, S.mult[x][x]) for x in S.elements())
 
 
 def _cond_ideals_star_semiprime(ctx):
     return all(c.star_semiprime is True for c in ctx.classes if c.two_sided_ideal)
 
 
-def _meets_below(ctx, product_of):
-    # for every left ideal element a and right ideal element b with a ^ b
-    # defined: a ^ b <= product_of(a, b)
-    S = ctx.S
-    for ca in ctx.classes:
-        if not ca.left_ideal:
-            continue
-        for cb in ctx.classes:
-            if not cb.right_ideal:
-                continue
-            m = S.meet(ca.element, cb.element)
-            if m is not None and not S.le(m, product_of(ca.element, cb.element)):
-                return False
-    return True
+def _holds(body, ctx) -> bool:
+    """Every instance of a claim body holds on the structure."""
+    return all(ok for _, ok in body(ctx))
 
 
 def _cond_meets_below_reversed_star_products(ctx):
-    S = ctx.S
-    return _meets_below(ctx, lambda a, b: S.prod(S.conj(b), S.conj(a)))
+    return _holds(_star_product_bound(both=True, reverse=True), ctx)
 
 
 def _cond_meets_below_star_products(ctx):
-    S = ctx.S
-    return _meets_below(ctx, lambda a, b: S.prod(S.conj(a), S.conj(b)))
+    return _holds(_star_product_bound(both=True, reverse=False), ctx)
 
 
 def _cond_generated_ideals_dominate_star(ctx):
-    S = ctx.S
-    for a in S.elements():
-        sa = S.conj(a)
-        if not (S.le(a, generated_right(S, sa)) and S.le(a, generated_left(S, sa))):
-            return False
-    return True
+    return _holds(_body_prop14, ctx)
 
 
 def _cond_sided_ideals_idempotent_products_quasi(ctx):
-    S = ctx.S
-    for c in ctx.classes:
-        if (c.right_ideal or c.left_ideal) and not c.idempotent:
-            return False
-    for ca in ctx.classes:
-        if not ca.right_ideal:
-            continue
-        for cb in ctx.classes:
-            if not cb.left_ideal:
-                continue
-            if ctx.classes[S.prod(ca.element, cb.element)].quasi_ideal is not True:
-                return False
-    return True
+    return _holds(_body_prop17_idem, ctx) and _holds(_body_prop16, ctx)
 
 
 def _cond_prop18_conjunction(ctx):
@@ -167,8 +147,7 @@ def _cond_prop18_conjunction(ctx):
 
 
 def _cond_filters_equal_star_window(ctx):
-    S = ctx.S
-    return all(ctx.filter_members[x] == thm26_set(S, x) for x in S.elements())
+    return ctx.filter_members == ctx.windows
 
 
 CONDITIONS: dict[str, Callable[[StructureAnalysis], bool]] = {
@@ -193,6 +172,38 @@ CONDITIONS: dict[str, Callable[[StructureAnalysis], bool]] = {
 Body = Callable[[StructureAnalysis], Iterator[tuple[tuple[int, ...], bool]]]
 
 
+def _sided_pairs(ctx, both: bool):
+    """(a, b, a ^ b) for the pairs, in lexicographic order, where a ^ b exists
+    and a is a left ideal element and b a right ideal element (``both``), or
+    a is a left ideal element or b a right ideal element (not ``both``)."""
+    S = ctx.S
+    meet = S.meet_table
+    left = [c.left_ideal for c in ctx.classes]
+    right = [c.right_ideal for c in ctx.classes]
+    for a in S.elements():
+        if both and not left[a]:
+            continue
+        any_b = left[a] and not both
+        row = meet[a]
+        for b in S.elements():
+            if any_b or right[b]:
+                m = row[b]
+                if m is not None:
+                    yield a, b, m
+
+
+def _star_product_bound(both: bool, reverse: bool) -> Body:
+    """Body asserting a ^ b <= a*b* (b*a* when ``reverse``) over the sided
+    pairs of ``_sided_pairs(ctx, both)``."""
+    def body(ctx):
+        S = ctx.S
+        mult, leq, star = S.mult, S.leq, S.star
+        for a, b, m in _sided_pairs(ctx, both):
+            x, y = (star[b], star[a]) if reverse else (star[a], star[b])
+            yield (a, b), leq[m][mult[x][y]]
+    return body
+
+
 def _body_prop04(ctx):
     for c in ctx.classes:
         if c.star_right or c.star_left:
@@ -207,34 +218,35 @@ def _body_prop04_bi(ctx):
 
 def _body_prop05(ctx):
     S = ctx.S
+    star, join_t, meet_t = S.star, S.join_table, S.meet_table
     for a in S.elements():
+        sa = star[a]
         for b in S.elements():
-            j, m = S.join(a, b), S.meet(a, b)
+            j, m = join_t[a][b], meet_t[a][b]
             if j is None and m is None:
                 continue
-            ok = True
-            if j is not None:
-                sj = S.join(S.conj(a), S.conj(b))
-                ok = sj is not None and S.conj(j) == sj
-            if ok and m is not None:
-                sm = S.meet(S.conj(a), S.conj(b))
-                ok = sm is not None and S.conj(m) == sm
+            sb = star[b]
+            ok = ((j is None or star[j] == join_t[sa][sb])
+                  and (m is None or star[m] == meet_t[sa][sb]))
             yield (a, b), ok
 
 
 def _body_prop06(ctx):
     S = ctx.S
+    mult, star = S.mult, S.star
+    lft = [generated_left(S, x) for x in S.elements()]
+    rgt = [generated_right(S, x) for x in S.elements()]
     for a in S.elements():
-        sa = S.conj(a)
-        ok = (S.prod(a, generated_left(S, sa)) == S.prod(generated_right(S, a), sa)
-              and S.prod(generated_right(S, sa), a) == S.prod(sa, generated_left(S, a)))
+        sa = star[a]
+        ok = (mult[a][lft[sa]] == mult[rgt[a]][sa]
+              and mult[rgt[sa]][a] == mult[sa][lft[a]])
         yield (a,), ok
 
 
 def _body_prop07(ctx):
-    S = ctx.S
+    star = ctx.S.star
     for c in ctx.classes:
-        cs = ctx.classes[S.conj(c.element)]
+        cs = ctx.classes[star[c.element]]
         ok = (c.left_ideal == cs.right_ideal
               and c.right_ideal == cs.left_ideal
               and c.quasi_ideal == cs.quasi_ideal)
@@ -242,43 +254,43 @@ def _body_prop07(ctx):
 
 
 def _body_prop07_bi(ctx):
-    S = ctx.S
+    star = ctx.S.star
     for c in ctx.classes:
-        yield (c.element,), c.bi_ideal == ctx.classes[S.conj(c.element)].bi_ideal
+        yield (c.element,), c.bi_ideal == ctx.classes[star[c.element]].bi_ideal
 
 
 def _body_prop08(ctx):
     S = ctx.S
-    e = S.e
+    e, mult, star, meet = S.e, S.mult, S.star, S.meet_table
     for ca in ctx.classes:
         if not ca.left_ideal:
             continue
         for cb in ctx.classes:
             if not cb.right_ideal:
                 continue
-            m = S.meet(S.conj(ca.element), S.conj(cb.element))
-            if m is None:
-                continue
-            if S.meet(S.prod(m, e), S.prod(e, m)) is None:
+            m = meet[star[ca.element]][star[cb.element]]
+            if m is None or meet[mult[m][e]][mult[e][m]] is None:
                 continue
             yield (ca.element, cb.element), ctx.classes[m].quasi_ideal is True
 
 
 def _body_prop08_idem(ctx):
-    S = ctx.S
+    star = ctx.S.star
     for c in ctx.classes:
         if c.left_ideal or c.right_ideal:
-            yield (c.element,), ctx.classes[S.conj(c.element)].idempotent
+            yield (c.element,), ctx.classes[star[c.element]].idempotent
 
 
 def _body_prop09(ctx):
     S = ctx.S
-    for ca in ctx.classes:
-        for cb in ctx.classes:
-            if not (ca.right_ideal or cb.right_ideal):
-                continue
-            p = S.conj(S.prod(ca.element, cb.element))
-            yield (ca.element, cb.element), ctx.classes[p].bi_ideal
+    mult, star = S.mult, S.star
+    right = [c.right_ideal for c in ctx.classes]
+    bi = [c.bi_ideal for c in ctx.classes]
+    for a in S.elements():
+        row = mult[a]
+        for b in S.elements():
+            if right[a] or right[b]:
+                yield (a, b), bi[star[row[b]]]
 
 
 def _body_ideals_star_semiprime(ctx):
@@ -293,68 +305,53 @@ def _body_ideals_semiprime(ctx):
             yield (c.element,), c.semiprime
 
 
-def _body_thm13_fwd(ctx):
-    S = ctx.S
-    for ca in ctx.classes:
-        for cb in ctx.classes:
-            if not (ca.left_ideal or cb.right_ideal):
-                continue
-            m = S.meet(ca.element, cb.element)
-            if m is None:
-                continue
-            target = S.prod(S.conj(ca.element), S.conj(cb.element))
-            yield (ca.element, cb.element), S.le(m, target)
+_body_thm13_fwd = _star_product_bound(both=False, reverse=False)
 
 
-def _body_regular(ctx):
-    S = ctx.S
-    for a in S.elements():
-        yield (a,), S.le(a, S.prod(a, S.e, a))
+def _regularity_body(starred: bool, intra: bool) -> Body:
+    """Body asserting a <= a e a, or a <= e a a e (``intra``), for every a,
+    with a* in place of a on the right when ``starred``."""
+    def body(ctx):
+        S = ctx.S
+        e, mult, leq, star = S.e, S.mult, S.leq, S.star
+        row_e = mult[e]
+        for a in S.elements():
+            x = star[a] if starred else a
+            bound = mult[mult[row_e[x]][x]][e] if intra else mult[mult[x][e]][x]
+            yield (a,), leq[a][bound]
+    return body
 
 
-def _body_intra_regular(ctx):
-    S = ctx.S
-    for a in S.elements():
-        yield (a,), S.le(a, S.prod(S.e, a, a, S.e))
-
-
-def _body_star_regular(ctx):
-    S = ctx.S
-    for a in S.elements():
-        sa = S.conj(a)
-        yield (a,), S.le(a, S.prod(sa, S.e, sa))
-
-
-def _body_star_intra_regular(ctx):
-    S = ctx.S
-    for a in S.elements():
-        sa = S.conj(a)
-        yield (a,), S.le(a, S.prod(S.e, sa, sa, S.e))
+_body_regular = _regularity_body(starred=False, intra=False)
+_body_intra_regular = _regularity_body(starred=False, intra=True)
+_body_star_regular = _regularity_body(starred=True, intra=False)
+_body_star_intra_regular = _regularity_body(starred=True, intra=True)
 
 
 def _body_prop14(ctx):
     S = ctx.S
+    leq, star = S.leq, S.star
     for a in S.elements():
-        sa = S.conj(a)
-        ok = S.le(a, generated_right(S, sa)) and S.le(a, generated_left(S, sa))
+        sa = star[a]
+        ok = leq[a][generated_right(S, sa)] and leq[a][generated_left(S, sa)]
         yield (a,), ok
 
 
 def _body_prop15(ctx):
-    S = ctx.S
+    star = ctx.S.star
     for c in ctx.classes:
         if c.left_ideal or c.right_ideal or c.bi_ideal:
-            yield (c.element,), S.conj(c.element) == c.element
+            yield (c.element,), star[c.element] == c.element
 
 
 def _body_prop16(ctx):
-    S = ctx.S
+    mult = ctx.S.mult
     for ca in ctx.classes:
         if not ca.right_ideal:
             continue
         for cb in ctx.classes:
             if cb.left_ideal:
-                p = S.prod(ca.element, cb.element)
+                p = mult[ca.element][cb.element]
                 yield (ca.element, cb.element), ctx.classes[p].quasi_ideal is True
 
 
@@ -366,7 +363,7 @@ def _body_prop16_eq(ctx):
         for cb in ctx.classes:
             if cb.left_ideal:
                 a, b = ca.element, cb.element
-                yield (a, b), S.meet(a, b) == S.prod(a, b)
+                yield (a, b), S.meet_table[a][b] == S.mult[a][b]
 
 
 def _body_prop17_idem(ctx):
@@ -382,98 +379,81 @@ def _body_thm19(ctx):
 
 def _body_thm20(ctx):
     S = ctx.S
+    mult, star = S.mult, S.star
     for c in ctx.classes:
         if c.star_bi is True:
             b = c.element
-            sb = S.conj(b)
-            x = generated_right(S, sb)
-            y = generated_left(S, sb)
-            yield (b,), S.prod(x, y) == b
+            sb = star[b]
+            yield (b,), mult[generated_right(S, sb)][generated_left(S, sb)] == b
 
 
 def _body_thm20_eq(ctx):
     S = ctx.S
+    e, mult, star = S.e, S.mult, S.star
     for c in ctx.classes:
         if c.star_bi is True:
             b = c.element
-            sb = S.conj(b)
-            yield (b,), S.prod(sb, S.e, sb) == b
+            sb = star[b]
+            yield (b,), mult[mult[sb][e]][sb] == b
 
 
-def _body_thm22_fwd(ctx):
-    S = ctx.S
-    for ca in ctx.classes:
-        if not ca.left_ideal:
-            continue
-        for cb in ctx.classes:
-            if not cb.right_ideal:
-                continue
-            m = S.meet(ca.element, cb.element)
-            if m is None:
-                continue
-            target = S.prod(S.conj(cb.element), S.conj(ca.element))
-            yield (ca.element, cb.element), S.le(m, target)
+_body_thm22_fwd = _star_product_bound(both=True, reverse=True)
 
 
-def _body_prop23(ctx):
-    S = ctx.S
-    e = S.e
-    for a in S.elements():
-        for b in S.elements():
-            ok = S.prod(e, a, b, e) == S.prod(e, S.conj(b), S.conj(a), e)
-            yield (a, b), ok
+def _prop23_body(starred: bool) -> Body:
+    """Body asserting e a b e = e b* a* e (e b a e unless ``starred``)."""
+    def body(ctx):
+        S = ctx.S
+        e, mult, star = S.e, S.mult, S.star
+        row_e = mult[e]
+        for a in S.elements():
+            ea = mult[row_e[a]]
+            for b in S.elements():
+                x, y = (star[b], star[a]) if starred else (b, a)
+                yield (a, b), mult[ea[b]][e] == mult[mult[row_e[x]][y]][e]
+    return body
+
+
+_body_prop23 = _prop23_body(starred=True)
 
 
 def _body_thm26_fwd(ctx):
-    S = ctx.S
-    for x in S.elements():
-        yield (x,), ctx.filter_members[x] == thm26_set(S, x)
+    for x in ctx.S.elements():
+        yield (x,), ctx.filter_members[x] == ctx.windows[x]
 
 
 def _body_prop27(ctx):
     S = ctx.S
-    part = ctx.partition
+    e, mult, leq, star = S.e, S.mult, S.leq, S.star
+    blocks = ctx.partition.blocks
+    block_of = [None] * S.n
+    for blk in blocks:
+        for y in blk:
+            block_of[y] = blk
+    row_e = mult[e]
     for x in S.elements():
-        t = S.prod(S.e, S.conj(x), S.e)
-        own_block = part.blocks[part.block_of(x)]
-        star_block = part.blocks[part.block_of(S.conj(x))]
-        ok = t in star_block and all(S.le(y, t) for y in own_block)
+        t = mult[row_e[star[x]]][e]
+        ok = t in block_of[star[x]] and all(leq[y][t] for y in block_of[x])
         yield (x,), ok
 
 
-# mutants: deliberately corrupted variants used to prove the harness can fail
+# mutants: deliberately corrupted variants used to prove the harness can fail,
+# built from the body they corrupt where they share one
 
-def _body_mut_prop23_nostar(ctx):
-    S = ctx.S
-    e = S.e
-    for a in S.elements():
-        for b in S.elements():
-            yield (a, b), S.prod(e, a, b, e) == S.prod(e, b, a, e)
-
-
-def _body_mut_thm13_swapped(ctx):
-    S = ctx.S
-    for ca in ctx.classes:
-        for cb in ctx.classes:
-            if not (ca.left_ideal or cb.right_ideal):
-                continue
-            m = S.meet(ca.element, cb.element)
-            if m is None:
-                continue
-            target = S.prod(S.conj(cb.element), S.conj(ca.element))
-            yield (ca.element, cb.element), S.le(m, target)
+_body_mut_prop23_nostar = _prop23_body(starred=False)
+_body_mut_thm13_swapped = _star_product_bound(both=False, reverse=True)
 
 
 def _body_mut_prop15_all(ctx):
     S = ctx.S
     for a in S.elements():
-        yield (a,), S.conj(a) == a
+        yield (a,), S.star[a] == a
 
 
 def _body_mut_prop07_noswap(ctx):
-    S = ctx.S
+    star = ctx.S.star
     for c in ctx.classes:
-        yield (c.element,), c.left_ideal == ctx.classes[S.conj(c.element)].left_ideal
+        yield (c.element,), c.left_ideal == ctx.classes[star[c.element]].left_ideal
 
 
 def _body_mut_prop17_all_idem(ctx):
@@ -708,29 +688,31 @@ def check_claim(S: OrderedAlgebra, claim_id: str,
     condition), then the body quantifiers, exhaustively."""
     d = _lookup(claim_id)
     claim = d.claim
-    missing = [t for t in ALL_TIERS
-               if t in claim.requires_tiers and t not in S.tiers]
-    if missing:
-        return ClaimReport(claim_id=claim.id, status=NOT_APPLICABLE,
-                           reason="missing tier(s): " + ", ".join(missing),
-                           variables=claim.variables)
+    if not claim.requires_tiers <= S.tiers:
+        missing = [t for t in ALL_TIERS if t in claim.requires_tiers and t not in S.tiers]
+        return _settled(claim_id, NOT_APPLICABLE, "missing tier(s): " + ", ".join(missing), 0)
     ctx = analysis if analysis is not None else StructureAnalysis(S)
     if claim.condition is not None and not CONDITIONS[claim.condition](ctx):
-        return ClaimReport(claim_id=claim.id, status=NOT_APPLICABLE,
-                           reason=f"hypothesis not met: {claim.condition}",
-                           variables=claim.variables)
+        return _settled(claim_id, NOT_APPLICABLE, f"hypothesis not met: {claim.condition}", 0)
     instances = 0
-    first_fail: Optional[tuple[int, ...]] = None
-    for binding, ok in d.body(ctx):
+    body = d.body(ctx)
+    for binding, ok in body:
         instances += 1
-        if not ok and first_fail is None:
-            first_fail = tuple(binding)
-    if first_fail is not None:
-        return ClaimReport(claim_id=claim.id, status=FAIL,
-                           counterexample=first_fail, variables=claim.variables,
-                           instances_checked=instances)
-    return ClaimReport(claim_id=claim.id, status=PASS, variables=claim.variables,
-                       instances_checked=instances, vacuous=instances == 0)
+        if not ok:
+            instances += sum(1 for _ in body)
+            return ClaimReport(claim_id=claim.id, status=FAIL,
+                               counterexample=tuple(binding), variables=claim.variables,
+                               instances_checked=instances)
+    return _settled(claim_id, PASS, "", instances)
+
+
+@lru_cache(maxsize=4096)
+def _settled(claim_id: str, status: str, reason: str, instances: int) -> ClaimReport:
+    """A report without a counterexample. Reports are immutable, so equal
+    outcomes share one object rather than building one per check."""
+    return ClaimReport(claim_id=claim_id, status=status, reason=reason,
+                       variables=_lookup(claim_id).claim.variables,
+                       instances_checked=instances, vacuous=status == PASS and instances == 0)
 
 
 def check_all(S: OrderedAlgebra,

@@ -21,7 +21,6 @@ from .enumeration import (
     ModelSpec, collect_models, compatible_orders, search_counterexample, write_catalog,
 )
 from .fileformat import FormatError, load_structure, serialize_structure
-from .filters import filter_generated, n_class_partition, thm26_set
 from .ideals import ElementClassification, classify_all
 from .regularity import regularity_profile
 from .structure import (
@@ -175,16 +174,14 @@ def _cmd_filters(args, out):
     S, _ = _load(args.file)
     if "po-semigroup" not in S.tiers:
         raise _Failure("filters need an associative structure (po-semigroup tier)")
-    part = n_class_partition(S)
+    # one saturation per element: the rows and the classes share the filters
+    ctx = StructureAnalysis(S)
     has_window = S.has(INVOLUTION) and S.e is not None
-    rows = []
-    for x in S.elements():
-        fs = filter_generated(S, x)
-        rows.append({
-            "element": S.label(x),
-            "filter": sorted(S.label(y) for y in fs.members),
-            "window": sorted(S.label(y) for y in thm26_set(S, x)) if has_window else None,
-        })
+    rows = [{"element": S.label(x),
+             "filter": sorted(S.label(y) for y in members),
+             "window": sorted(S.label(y) for y in ctx.windows[x]) if has_window else None}
+            for x, members in enumerate(ctx.filter_members)]
+    part = ctx.partition
     blocks = [{"members": sorted(S.label(y) for y in blk),
                "greatest": S.label(g) if g is not None else None}
               for blk, g in zip(part.blocks, part.block_greatest)]

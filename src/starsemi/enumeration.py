@@ -35,7 +35,7 @@ from .claims import (
 from .fileformat import serialize_structure
 from .structure import (
     INVOLUTION, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, RawStructure, VEE, WEDGE,
-    bounds_tables, tier_closure, validate_structure,
+    _accepted_structure, bounds_tables, tier_closure,
 )
 
 EXHAUSTIVE_MAX_ORDER = 6
@@ -572,8 +572,9 @@ def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
 
 
 def _finish_model(mult, leq, star, tiers):
-    model, report = validate_structure(RawStructure(n=len(mult), mult=mult, leq=leq, star=star))
-    missing = tiers - report.accepted
+    # the full tier set of the model, from the first violation of each tier
+    model = _accepted_structure(RawStructure(n=len(mult), mult=mult, leq=leq, star=star))
+    missing = tiers - model.tiers
     assert not missing, f"enumerated model misses tiers {missing}"  # search bug if hit
     return model
 

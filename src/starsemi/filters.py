@@ -1,8 +1,12 @@
 """Principal filters, their class partition, and the star-window set.
 
 The filter generated by x is computed by saturation under the three filter
-closure rules (products, upward closure, divisor extraction); the exponential
-subset-intersection oracle exists solely to certify the saturation.
+closure rules (products, upward closure, divisor extraction) on the up-set and
+divisor bitmasks that the structure caches; the exponential subset-intersection
+oracle exists solely to certify the saturation. The class partition is built
+from the list of per-element filters by a helper that a caller already holding
+that list (``claims.StructureAnalysis``, the ``filters`` command) uses without
+saturating again.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .structure import INVOLUTION, OrderedAlgebra
+from .structure import BITS, INVOLUTION, OrderedAlgebra
 
 ORACLE_MAX_ORDER = 12
 
@@ -42,31 +46,57 @@ class NClassPartition:
 
 
 def filter_generated(S: OrderedAlgebra, x: int) -> FilterSet:
-    """Saturate {x} under product, upward and divisor-extraction closure."""
-    n, mult, leq = S.n, S.mult, S.leq
-    members = {x}
+    """Saturate {x} under product, upward and divisor-extraction closure.
+
+    Each pass adds the products of the members, then the up-sets of the
+    result, then sweeps the table row by row, adding a and b whenever ab is in
+    the set as it stands at that cell; the members and the pass count are
+    those of that sweep, computed on the bitmasks of ``S``."""
+    mult, up, div = S.mult, S.up_masks, S.divisor_masks
+    members = 1 << x
     rounds = 0
     while True:
         rounds += 1
-        new = set(members)
-        for a in members:
+        new = members
+        elems = BITS[members]
+        for a in elems:
             row = mult[a]
-            for b in members:
-                new.add(row[b])
-        for a in tuple(new):
-            for b in range(n):
-                if leq[a][b]:
-                    new.add(b)
-        for a in range(n):
-            row = mult[a]
-            for b in range(n):
-                if row[b] in new:
-                    new.add(a)
-                    new.add(b)
+            for b in elems:
+                new |= 1 << row[b]
+        for a in BITS[new]:
+            new |= up[a]
+        new = _divisor_pass(mult, div, new)
         if new == members:
             break
         members = new
-    return FilterSet(generator=x, members=frozenset(members), rounds=rounds)
+    return FilterSet(generator=x, members=frozenset(BITS[members]), rounds=rounds)
+
+
+def _divisor_pass(mult, div, cur: int) -> int:
+    """The set after one row-major sweep over the cells (a, b) that adds a and
+    b whenever ab is in the set as it stands at that cell.
+
+    The sweep adds at least ``grown``, the divisors of the starting set, and
+    at most the closure of the starting set under divisors. So when ``grown``
+    has no divisor outside itself, the sweep gives exactly ``grown``; only
+    otherwise is the sweep run cell by cell."""
+    grown = cur
+    for v in BITS[cur]:
+        grown |= div[v]
+    if grown == cur:
+        return cur
+    closed = grown
+    for v in BITS[grown & ~cur]:
+        closed |= div[v]
+    if closed == grown:
+        return grown
+    n = len(mult)
+    for a in range(n):
+        row = mult[a]
+        for b in range(n):
+            if cur >> row[b] & 1:
+                cur |= 1 << a | 1 << b
+    return cur
 
 
 def is_filter(S: OrderedAlgebra, members: frozenset[int]) -> bool:
@@ -112,19 +142,27 @@ def thm26_set(S: OrderedAlgebra, x: int) -> frozenset[int]:
         raise ValueError("thm26_set needs a structure with a greatest element")
     if not S.has(INVOLUTION):
         raise ValueError("thm26_set needs an involution")
-    e = S.e
-    return frozenset(y for y in S.elements()
-                     if S.le(x, S.prod(e, S.conj(y), e)))
+    e, mult, star = S.e, S.mult, S.star
+    row_e, above_x = mult[e], S.leq[x]
+    return frozenset(y for y in range(S.n) if above_x[mult[row_e[star[y]]][e]])
 
 
 def n_class_partition(S: OrderedAlgebra) -> NClassPartition:
     """Group elements by equality of their generated filters."""
+    return _partition(S, [filter_generated(S, x).members for x in S.elements()])
+
+
+def _partition(S: OrderedAlgebra, filters) -> NClassPartition:
+    """The partition of the elements by equal entries of ``filters``, the
+    generated filter of each element in element order."""
     by_filter: dict[frozenset[int], set[int]] = {}
-    for x in S.elements():
-        by_filter.setdefault(filter_generated(S, x).members, set()).add(x)
+    for x, members in enumerate(filters):
+        by_filter.setdefault(members, set()).add(x)
     blocks = tuple(sorted((frozenset(b) for b in by_filter.values()), key=min))
+    down = S.down_masks
     greatest = []
     for blk in blocks:
-        tops = [g for g in blk if all(S.le(y, g) for y in blk)]
+        mask = sum(1 << y for y in blk)
+        tops = [g for g in blk if not mask & ~down[g]]
         greatest.append(tops[0] if tops else None)
     return NClassPartition(blocks=blocks, block_greatest=tuple(greatest))

@@ -50,65 +50,84 @@ def generated_left(S: OrderedAlgebra, a: int) -> Optional[int]:
     """Least left ideal element above a: the join of a and ea, or None if the
     join does not exist."""
     e = _require_top(S)
-    return S.join(a, S.prod(e, a))
+    return S.join_table[a][S.mult[e][a]]
 
 
 def generated_right(S: OrderedAlgebra, a: int) -> Optional[int]:
     """Least right ideal element above a: the join of a and ae."""
     e = _require_top(S)
-    return S.join(a, S.prod(a, e))
+    return S.join_table[a][S.mult[a][e]]
 
 
 def in_ideal_generated(S: OrderedAlgebra, x: int, a: int) -> bool:
     """Membership of x in the two-sided ideal generated by a, as the
     four-case bound: x <= a or x <= ea or x <= ae or x <= eae."""
     e = _require_top(S)
-    le = S.le
-    return (le(x, a) or le(x, S.prod(e, a)) or le(x, S.prod(a, e))
-            or le(x, S.prod(e, a, e)))
+    mult, above_x = S.mult, S.leq[x]
+    ea = mult[e][a]
+    return above_x[a] or above_x[ea] or above_x[mult[a][e]] or above_x[mult[ea][e]]
+
+
+def _classifier(S: OrderedAlgebra):
+    """The per-element classification of S, as a function of the element.
+
+    It reads the tables directly. Semiprimality (t t <= a implies t <= a) is
+    decided for every a at once: t witnesses a failure exactly for the a in
+    the up-set of t t minus the up-set of t."""
+    e = _require_top(S)
+    mult, leq, meet = S.mult, S.leq, S.meet_table
+    star = S.star if S.has(INVOLUTION) else None
+    up = S.up_masks
+    row_e = mult[e]
+    not_semiprime = 0
+    for t in S.elements():
+        not_semiprime |= up[mult[t][t]] & ~up[t]
+    not_star_semiprime = 0
+    if star is not None:
+        for t in S.elements():
+            c = star[t]
+            not_star_semiprime |= up[mult[c][c]] & ~up[t]
+
+    def classify(a: int) -> ElementClassification:
+        below_a = [row[a] for row in leq]
+        ae = mult[a][e]
+        ea = row_e[a]
+        left = below_a[ea]
+        right = below_a[ae]
+        m = meet[ae][ea]
+        star_left = star_right = star_quasi = star_bi = star_semiprime = None
+        if star is not None:
+            c = star[a]
+            ce, ec = mult[c][e], row_e[c]
+            star_right = below_a[ce]
+            star_left = below_a[ec]
+            sm = meet[ce][ec]
+            star_quasi = None if sm is None else below_a[sm]
+            star_bi = below_a[mult[ce][c]]
+            star_semiprime = not not_star_semiprime >> a & 1
+        return ElementClassification(
+            element=a,
+            idempotent=mult[a][a] == a,
+            left_ideal=left,
+            right_ideal=right,
+            two_sided_ideal=left and right,
+            quasi_ideal=None if m is None else below_a[m],
+            bi_ideal=below_a[mult[ae][a]],
+            star_left=star_left,
+            star_right=star_right,
+            star_quasi=star_quasi,
+            star_bi=star_bi,
+            semiprime=not not_semiprime >> a & 1,
+            star_semiprime=star_semiprime,
+        )
+
+    return classify
 
 
 def classify_element(S: OrderedAlgebra, a: int) -> ElementClassification:
     """Decide every element-level predicate for a by direct table checks."""
-    e = _require_top(S)
-    le = S.le
-    ae = S.prod(a, e)
-    ea = S.prod(e, a)
-    left = le(ea, a)
-    right = le(ae, a)
-    m = S.meet(ae, ea)
-    quasi = None if m is None else le(m, a)
-    bi = le(S.prod(a, e, a), a)
-    semiprime = all(le(t, a) for t in S.elements() if le(S.prod(t, t), a))
-
-    star_left = star_right = star_quasi = star_bi = star_semiprime = None
-    if S.has(INVOLUTION):
-        c = S.conj(a)
-        star_right = le(S.prod(c, e), a)
-        star_left = le(S.prod(e, c), a)
-        sm = S.meet(S.prod(c, e), S.prod(e, c))
-        star_quasi = None if sm is None else le(sm, a)
-        star_bi = le(S.prod(c, e, c), a)
-        star_semiprime = all(
-            le(t, a) for t in S.elements()
-            if le(S.prod(S.conj(t), S.conj(t)), a))
-
-    return ElementClassification(
-        element=a,
-        idempotent=S.prod(a, a) == a,
-        left_ideal=left,
-        right_ideal=right,
-        two_sided_ideal=left and right,
-        quasi_ideal=quasi,
-        bi_ideal=bi,
-        star_left=star_left,
-        star_right=star_right,
-        star_quasi=star_quasi,
-        star_bi=star_bi,
-        semiprime=semiprime,
-        star_semiprime=star_semiprime,
-    )
+    return _classifier(S)(a)
 
 
 def classify_all(S: OrderedAlgebra) -> tuple[ElementClassification, ...]:
-    return tuple(classify_element(S, a) for a in S.elements())
+    return tuple(map(_classifier(S), S.elements()))

@@ -31,18 +31,18 @@ class RegularityProfile:
 def regularity_profile(S: OrderedAlgebra) -> RegularityProfile:
     if S.e is None:
         raise ValueError("regularity needs a structure with a greatest element")
-    e = S.e
-    le = S.le
-
-    reg_fail = tuple(a for a in S.elements() if not le(a, S.prod(a, e, a)))
-    intra_fail = tuple(a for a in S.elements() if not le(a, S.prod(e, a, a, e)))
+    e, mult, leq = S.e, S.mult, S.leq
+    # (a e) a, ((e a) a) e, (a* e) a* and ((e a*) a*) e, read from the table
+    reg_fail = tuple(a for a in S.elements() if not leq[a][mult[mult[a][e]][a]])
+    intra_fail = tuple(a for a in S.elements() if not leq[a][mult[mult[mult[e][a]][a]][e]])
 
     if S.has(INVOLUTION):
-        c = S.conj
+        star = S.star
         sreg_fail: Optional[tuple[int, ...]] = tuple(
-            a for a in S.elements() if not le(a, S.prod(c(a), e, c(a))))
+            a for a in S.elements() if not leq[a][mult[mult[star[a]][e]][star[a]]])
         sintra_fail: Optional[tuple[int, ...]] = tuple(
-            a for a in S.elements() if not le(a, S.prod(e, c(a), c(a), e)))
+            a for a in S.elements()
+            if not leq[a][mult[mult[mult[e][star[a]]][star[a]]][e]])
     else:
         sreg_fail = sintra_fail = None
 

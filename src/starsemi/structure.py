@@ -4,13 +4,15 @@ Elements are the integers 0..n-1; ``labels`` are presentation-only. A structure
 carries a multiplication table, an order relation, and optionally a unary
 involution given as a permutation. Validation sorts the structure into axiom
 tiers (which form a lattice under prerequisites, not a chain) and caches the
-greatest element and the partial join/meet tables.
+greatest element, the partial join/meet tables and, on first use, the up-set,
+down-set and divisor bitmasks that the analysis modules read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from functools import cached_property, lru_cache
+from itertools import compress, repeat
 from typing import Iterable, Optional
 
 MAX_ORDER = 24
@@ -37,6 +39,48 @@ TIER_PREREQS = {
     LE: (VEE, WEDGE),
     INVOLUTION: (PO_GROUPOID,),
 }
+
+
+class _BitLists(dict):
+    """``BITS[mask]``: the element indices in a bitmask, ascending. Masks
+    below 2**12 are kept once computed."""
+
+    def __missing__(self, mask):
+        out = []
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out.append(low.bit_length() - 1)
+            rest ^= low
+        out = tuple(out)
+        if mask < 4096:
+            self[mask] = out
+        return out
+
+
+BITS = _BitLists()
+
+
+class _RowMasks(dict):
+    """``_ROW_MASKS[row]``: a row of booleans as a bitmask, bit j set when
+    row[j] is true. Rows of up to 8 entries are kept once computed."""
+
+    def __missing__(self, row):
+        mask = sum(compress([1 << j for j in range(len(row))], row))
+        if len(row) <= 8:
+            self[row] = mask
+        return mask
+
+
+_ROW_MASKS = _RowMasks()
+
+
+def _masks(rows) -> tuple[int, ...]:
+    """Each boolean row as a bitmask: bit j of entry i is rows[i][j]."""
+    try:
+        return tuple(map(_ROW_MASKS.__getitem__, rows))
+    except TypeError:  # unhashable rows, such as lists
+        return tuple(_ROW_MASKS[tuple(row)] for row in rows)
 
 
 class StructureError(ValueError):
@@ -89,10 +133,12 @@ class RawStructure:
         if len(mult) != n or any(len(row) != n for row in mult):
             raise StructureError(f"multiplication table must be {n}x{n}")
         for row in mult:
-            for v in row:
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise StructureError(f"multiplication entry {v!r} out of range [0, {n})")
-        leq = tuple(tuple(bool(v) for v in row) for row in self.leq)
+            if not all(map(isinstance, row, repeat(int))) or min(row) < 0 or max(row) >= n:
+                for v in row:
+                    if not isinstance(v, int) or not 0 <= v < n:
+                        raise StructureError(
+                            f"multiplication entry {v!r} out of range [0, {n})")
+        leq = tuple(tuple(map(bool, row)) for row in self.leq)
         if len(leq) != n or any(len(row) != n for row in leq):
             raise StructureError(f"order relation must be {n}x{n}")
         star = self.star
@@ -143,7 +189,8 @@ class ValidationReport:
 class OrderedAlgebra:
     """Validated immutable structure plus its attained tier set and cached
     greatest element / partial join and meet tables. Entries of the join/meet
-    tables are element indices or None where no bound exists."""
+    tables are element indices or None where no bound exists. The up-set,
+    down-set and divisor bitmasks are derived from the tables on first use."""
 
     raw: RawStructure
     tiers: frozenset[str]
@@ -197,6 +244,27 @@ class OrderedAlgebra:
     def meet(self, a: int, b: int) -> Optional[int]:
         return self.meet_table[a][b]
 
+    # bitmask views of the tables, built on first use and kept with them
+
+    @cached_property
+    def up_masks(self) -> tuple[int, ...]:
+        """Entry a has bit u set when a <= u."""
+        return _masks(self.raw.leq)
+
+    @cached_property
+    def down_masks(self) -> tuple[int, ...]:
+        """Entry a has bit u set when u <= a."""
+        return _masks(tuple(zip(*self.raw.leq)))
+
+    @cached_property
+    def divisor_masks(self) -> tuple[int, ...]:
+        """Entry v has bits a and b set for every product ab = v."""
+        out = [0] * self.raw.n
+        for a, row in enumerate(self.raw.mult):
+            for b, v in enumerate(row):
+                out[v] |= 1 << a | 1 << b
+        return tuple(out)
+
 
 def join(S: OrderedAlgebra, a: int, b: int) -> Optional[int]:
     """Least upper bound of a and b, or None when it does not exist."""
@@ -224,166 +292,199 @@ def bounds_tables(leq):
     is None when no element or more than one qualifies, so the tables are
     defined even when ``leq`` is not a partial order."""
     n = len(leq)
-    weights = [1 << u for u in range(n)]
-    up = [sum(compress(weights, row)) for row in leq]
-    down = [sum(compress(weights, col)) for col in zip(*leq)]
+    up = _masks(leq)
+    down = _masks(tuple(zip(*leq)))
     join_t = [[None] * n for _ in range(n)]
     meet_t = [[None] * n for _ in range(n)]
-    for table, cover in ((join_t, up), (meet_t, down)):
+    for table, cover, dual in ((join_t, up, down), (meet_t, down, up)):
         for a in range(n):
+            row, cover_a = table[a], cover[a]
             for b in range(a, n):
-                common = rest = cover[a] & cover[b]
-                found = None
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    u = low.bit_length() - 1
-                    if not common & ~cover[u]:
-                        if found is not None:
-                            found = None
-                            break
-                        found = u
-                table[a][b] = table[b][a] = found
+                # u qualifies when U lies inside cover[u], that is when u
+                # lies in U and in dual[v] for every v in U
+                least = common = cover_a & cover[b]
+                for v in BITS[common]:
+                    least &= dual[v]
+                found = least.bit_length() - 1 if least and not least & (least - 1) else None
+                row[b] = table[b][a] = found
     return tuple(map(tuple, join_t)), tuple(map(tuple, meet_t))
 
 
 def greatest_element(leq) -> Optional[int]:
-    n = len(leq)
-    for t in range(n):
-        if all(leq[a][t] for a in range(n)):
+    for t in range(len(leq)):
+        if all(row[t] for row in leq):
             return t
     return None
 
 
-def _check_po_groupoid(raw: RawStructure, add):
+# Each check below yields its tier's violations lazily, in a fixed order. The
+# up[a] / down[a] bitmasks hold the u with a <= u / u <= a, so the loops visit
+# only the pairs that can fail.
+
+def _check_po_groupoid(raw: RawStructure, up, down):
     n, mult, leq = raw.n, raw.mult, raw.leq
     for a in range(n):
-        if not leq[a][a]:
-            add(PO_GROUPOID, "order-reflexive", (a,), "a <= a fails")
+        if not up[a] >> a & 1:
+            yield Violation(PO_GROUPOID, "order-reflexive", (a,), "a <= a fails")
     for a in range(n):
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
-                add(PO_GROUPOID, "order-antisymmetric", (a, b), "a <= b and b <= a for distinct a, b")
+        for b in BITS[up[a] & down[a] & ~(1 << a)]:
+            yield Violation(PO_GROUPOID, "order-antisymmetric", (a, b),
+                            "a <= b and b <= a for distinct a, b")
     for a in range(n):
-        for b in range(n):
-            if leq[a][b]:
-                for c in range(n):
-                    if leq[b][c] and not leq[a][c]:
-                        add(PO_GROUPOID, "order-transitive", (a, b, c), "a <= b <= c but not a <= c")
+        for b in BITS[up[a]]:
+            for c in BITS[up[b] & ~up[a]]:
+                yield Violation(PO_GROUPOID, "order-transitive", (a, b, c),
+                                "a <= b <= c but not a <= c")
+    cols = tuple(zip(*mult))
     for a in range(n):
-        for b in range(n):
-            if leq[a][b]:
-                for c in range(n):
-                    if not leq[mult[a][c]][mult[b][c]]:
-                        add(PO_GROUPOID, "compat-right", (a, b, c), "a <= b but not ac <= bc")
-                    if not leq[mult[c][a]][mult[c][b]]:
-                        add(PO_GROUPOID, "compat-left", (a, b, c), "a <= b but not ca <= cb")
+        ra, ca = mult[a], cols[a]
+        for b in BITS[up[a]]:
+            rb, cb = mult[b], cols[b]
+            for c in range(n):
+                if not leq[ra[c]][rb[c]]:
+                    yield Violation(PO_GROUPOID, "compat-right", (a, b, c),
+                                    "a <= b but not ac <= bc")
+                if not leq[ca[c]][cb[c]]:
+                    yield Violation(PO_GROUPOID, "compat-left", (a, b, c),
+                                    "a <= b but not ca <= cb")
 
 
-def _check_associativity(raw: RawStructure, add):
+def _check_associativity(raw: RawStructure):
     n, mult = raw.n, raw.mult
     for a in range(n):
+        ra = mult[a]
         for b in range(n):
-            ab = mult[a][b]
+            r_ab, rb = mult[ra[b]], mult[b]
             for c in range(n):
-                if mult[ab][c] != mult[a][mult[b][c]]:
-                    add(PO_SEMIGROUP, "associative", (a, b, c), "(ab)c != a(bc)")
+                if r_ab[c] != ra[rb[c]]:
+                    yield Violation(PO_SEMIGROUP, "associative", (a, b, c), "(ab)c != a(bc)")
 
 
-def _check_poe(raw: RawStructure, add):
-    if greatest_element(raw.leq) is None:
+def _check_poe(raw: RawStructure, e):
+    if e is None:
         n = len(raw.leq)
         maximal = [a for a in range(n)
                    if all(not raw.leq[a][b] or a == b for b in range(n))]
         witness = tuple(maximal[:2])
-        add(POE, "greatest-element", witness, "no greatest element exists")
+        yield Violation(POE, "greatest-element", witness, "no greatest element exists")
 
 
-def _check_vee(raw: RawStructure, join_t, add):
+def _check_vee(raw: RawStructure, join_t):
     n, mult = raw.n, raw.mult
-    total = True
-    for a in range(n):
-        for b in range(n):
-            if join_t[a][b] is None:
-                total = False
-                add(VEE, "join-exists", (a, b), "pair has no least upper bound")
-    if not total:
+    if any(None in row for row in join_t):
+        for a in range(n):
+            for b in range(n):
+                if join_t[a][b] is None:
+                    yield Violation(VEE, "join-exists", (a, b), "pair has no least upper bound")
         return
+    cols = tuple(zip(*mult))
     for a in range(n):
+        ra, ca = mult[a], cols[a]
         for b in range(n):
+            rb, cb = mult[b], cols[b]
             ab = join_t[a][b]
+            r_ab, c_ab = mult[ab], cols[ab]
             for c in range(n):
-                if join_t[mult[a][c]][mult[b][c]] != mult[ab][c]:
-                    add(VEE, "join-distributive-right", (a, b, c), "(a v b)c != ac v bc")
-                if join_t[mult[c][a]][mult[c][b]] != mult[c][ab]:
-                    add(VEE, "join-distributive-left", (a, b, c), "c(a v b) != ca v cb")
+                if join_t[ra[c]][rb[c]] != r_ab[c]:
+                    yield Violation(VEE, "join-distributive-right", (a, b, c),
+                                    "(a v b)c != ac v bc")
+                if join_t[ca[c]][cb[c]] != c_ab[c]:
+                    yield Violation(VEE, "join-distributive-left", (a, b, c),
+                                    "c(a v b) != ca v cb")
 
 
-def _check_wedge(raw: RawStructure, meet_t, add):
-    n = raw.n
-    for a in range(n):
-        for b in range(n):
-            if meet_t[a][b] is None:
-                add(WEDGE, "meet-exists", (a, b), "pair has no greatest lower bound")
+def _check_wedge(raw: RawStructure, meet_t):
+    if any(None in row for row in meet_t):
+        for a in range(raw.n):
+            for b in range(raw.n):
+                if meet_t[a][b] is None:
+                    yield Violation(WEDGE, "meet-exists", (a, b),
+                                    "pair has no greatest lower bound")
 
 
-def _check_involution(raw: RawStructure, add):
-    n, mult, leq, star = raw.n, raw.mult, raw.leq, raw.star
+def _check_involution(raw: RawStructure, up):
+    n, mult, star = raw.n, raw.mult, raw.star
     if star is None:
-        add(INVOLUTION, "operation-present", (), "no unary operation given")
+        yield Violation(INVOLUTION, "operation-present", (), "no unary operation given")
         return
     for a in range(n):
         if star[star[a]] != a:
-            add(INVOLUTION, "involutive", (a,), "(a*)* != a")
+            yield Violation(INVOLUTION, "involutive", (a,), "(a*)* != a")
+    cols = tuple(zip(*mult))
     for a in range(n):
+        ra, col = mult[a], cols[star[a]]  # col[y] is y a*
         for b in range(n):
-            if star[mult[a][b]] != mult[star[b]][star[a]]:
-                add(INVOLUTION, "anti-homomorphism", (a, b), "(ab)* != b*a*")
+            if star[ra[b]] != col[star[b]]:
+                yield Violation(INVOLUTION, "anti-homomorphism", (a, b), "(ab)* != b*a*")
     for a in range(n):
-        for b in range(n):
-            if leq[a][b] and not leq[star[a]][star[b]]:
-                add(INVOLUTION, "order-preserving", (a, b), "a <= b but not a* <= b*")
+        up_sa = up[star[a]]
+        for b in BITS[up[a]]:
+            if not up_sa >> star[b] & 1:
+                yield Violation(INVOLUTION, "order-preserving", (a, b),
+                                "a <= b but not a* <= b*")
+
+
+def _tier_checks(raw: RawStructure, e, join_t, meet_t):
+    """One lazy generator of violations per tier, in validation order; ``e``
+    is the greatest element of ``raw.leq`` or None."""
+    up, down = _masks(raw.leq), _masks(tuple(zip(*raw.leq)))
+    return (_check_po_groupoid(raw, up, down), _check_associativity(raw), _check_poe(raw, e),
+            _check_vee(raw, join_t), _check_wedge(raw, meet_t), _check_involution(raw, up))
+
+
+@lru_cache(maxsize=128)  # one entry per set of failed tiers
+def _accept(failed_own: frozenset[str]) -> tuple[frozenset[str], tuple[Violation, ...]]:
+    """The accepted tiers given the tiers with an own violation, and one
+    prerequisite violation for each other tier that is refused."""
+    accepted: set[str] = set()
+    refused = []
+    for tier in ALL_TIERS:  # prerequisite order
+        if tier in failed_own:
+            continue
+        missing = [p for p in TIER_PREREQS[tier] if p not in accepted]
+        if missing:
+            refused.append(Violation(tier, "prerequisite", (), f"requires tier {missing[0]}"))
+            continue
+        accepted.add(tier)
+    return frozenset(accepted), tuple(refused)
+
+
+def _algebra(raw: RawStructure, accepted, e, join_t, meet_t) -> OrderedAlgebra:
+    return OrderedAlgebra(raw=raw, tiers=accepted, e=e if PO_GROUPOID in accepted else None,
+                          join_table=join_t, meet_table=meet_t)
 
 
 def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationReport]:
     """Check every axiom tier and return the structure with its attained tier set.
 
     Structural defects (bad shapes, out-of-range entries) raise StructureError;
-    axiom failures are collected as Violation records, one per failing instance,
-    and simply exclude the owning tier from the accepted set.
+    axiom failures are collected as Violation records, one per failing instance
+    (tier by tier, each tier's instances in a fixed order), and simply exclude
+    the owning tier from the accepted set. A tier refused for a missing
+    prerequisite gets one "prerequisite" record at the end. The accepted set
+    depends only on which tiers have some violation, so the enumeration's
+    re-check (``_accepted_structure``) reads only the first violation of each
+    tier from the same checks.
     """
     if not isinstance(raw, RawStructure):
         raw = RawStructure(*raw)  # allow (n, mult, leq, star, labels) tuples
-    violations: list[Violation] = []
-
-    def add(tier, axiom, witness, message):
-        violations.append(Violation(tier, axiom, tuple(witness), message))
-
     join_t, meet_t = bounds_tables(raw.leq)
-    _check_po_groupoid(raw, add)
-    _check_associativity(raw, add)
-    _check_poe(raw, add)
-    _check_vee(raw, join_t, add)
-    _check_wedge(raw, meet_t, add)
-    _check_involution(raw, add)
+    e = greatest_element(raw.leq)
+    violations = [v for check in _tier_checks(raw, e, join_t, meet_t) for v in check]
+    accepted, refused = _accept(frozenset(v.tier for v in violations))
+    violations += refused
+    return (_algebra(raw, accepted, e, join_t, meet_t),
+            ValidationReport(accepted=accepted, violations=tuple(violations)))
 
-    failed_own = {v.tier for v in violations}
-    accepted: set[str] = set()
-    for tier in ALL_TIERS:  # prerequisite order
-        if tier in failed_own:
-            continue
-        missing = [p for p in TIER_PREREQS[tier] if p not in accepted]
-        if missing:
-            add(tier, "prerequisite", (), f"requires tier {missing[0]}")
-            continue
-        accepted.add(tier)
 
-    e = greatest_element(raw.leq) if PO_GROUPOID in accepted else None
-    return (
-        OrderedAlgebra(raw=raw, tiers=frozenset(accepted), e=e,
-                       join_table=join_t, meet_table=meet_t),
-        ValidationReport(accepted=frozenset(accepted), violations=tuple(violations)),
-    )
+def _accepted_structure(raw: RawStructure) -> OrderedAlgebra:
+    """The structure ``validate_structure`` returns, without its report: each
+    tier check stops at its first violation and no record is kept."""
+    join_t, meet_t = bounds_tables(raw.leq)
+    e = greatest_element(raw.leq)
+    firsts = (next(check, None) for check in _tier_checks(raw, e, join_t, meet_t))
+    failed = frozenset(v.tier for v in firsts if v is not None)
+    return _algebra(raw, _accept(failed)[0], e, join_t, meet_t)
 
 
 def reflexive_transitive_closure(n: int, pairs: Iterable[tuple[int, int]]):

@@ -168,3 +168,138 @@ def naive_model_forms(n, require_involution=True, require_greatest=True):
             else:
                 forms.add(canonical_form(RawStructure(n=n, mult=mult, leq=leq)))
     return forms
+
+
+def oracle_filter_saturation(S, x):
+    """(members, passes) of the filter generated by x, by the set-based
+    saturation: each pass adds the products of the members, then the up-sets
+    of the result, then sweeps the table row by row, adding a and b whenever
+    ab is in the set as it stands at that cell; the last pass changes
+    nothing. Reads only the raw tables."""
+    n, mult, leq = S.raw.n, S.raw.mult, S.raw.leq
+    members = {x}
+    rounds = 0
+    while True:
+        rounds += 1
+        new = set(members)
+        for a in members:
+            for b in members:
+                new.add(mult[a][b])
+        for a in tuple(new):
+            new.update(b for b in range(n) if leq[a][b])
+        for a in range(n):
+            for b in range(n):
+                if mult[a][b] in new:
+                    new.add(a)
+                    new.add(b)
+        if new == members:
+            return frozenset(members), rounds
+        members = new
+
+
+def oracle_classify(S):
+    """Per element, a dict of the element-level flags decided from the raw
+    tables and definition-level meet scans: the ideal inequalities against
+    e (the greatest element), semiprimality by trying every t, and the
+    starred variants (None without the involution tier)."""
+    raw = S.raw
+    n, mult, leq = raw.n, raw.mult, raw.leq
+    e = next(t for t in range(n) if all(leq[a][t] for a in range(n)))
+    star = raw.star if "involution" in S.tiers else None
+
+    def below(x, a):
+        return leq[x][a]
+
+    def quasi(x, y, a):
+        m = scan_meet(S, x, y)
+        return None if m is None else below(m, a)
+
+    out = []
+    for a in range(n):
+        ae, ea = mult[a][e], mult[e][a]
+        flags = {
+            "element": a,
+            "idempotent": mult[a][a] == a,
+            "left_ideal": below(ea, a),
+            "right_ideal": below(ae, a),
+            "two_sided_ideal": below(ea, a) and below(ae, a),
+            "quasi_ideal": quasi(ae, ea, a),
+            "bi_ideal": below(mult[ae][a], a),
+            "semiprime": all(below(t, a) for t in range(n) if below(mult[t][t], a)),
+        }
+        for name in ("star_left", "star_right", "star_quasi", "star_bi", "star_semiprime"):
+            flags[name] = None
+        if star is not None:
+            c = star[a]
+            ce, ec = mult[c][e], mult[e][c]
+            flags.update(
+                star_left=below(ec, a),
+                star_right=below(ce, a),
+                star_quasi=quasi(ce, ec, a),
+                star_bi=below(mult[ce][c], a),
+                star_semiprime=all(below(t, a) for t in range(n)
+                                   if below(mult[star[t]][star[t]], a)),
+            )
+        out.append(flags)
+    return out
+
+
+def oracle_violations(raw):
+    """(tier, axiom, witness) of every failing axiom instance of ``raw``, in
+    the order validate_structure reports them, by scanning each axiom
+    instance by instance; bounds come from ``oracle_bounds_tables``."""
+    n, mult, leq, star = raw.n, raw.mult, raw.leq, raw.star
+    rng = range(n)
+    join_t, meet_t = oracle_bounds_tables(leq)
+    out = [("po-groupoid", "order-reflexive", (a,)) for a in rng if not leq[a][a]]
+    out += [("po-groupoid", "order-antisymmetric", (a, b)) for a in rng for b in rng
+            if a != b and leq[a][b] and leq[b][a]]
+    out += [("po-groupoid", "order-transitive", (a, b, c)) for a in rng for b in rng
+            for c in rng if leq[a][b] and leq[b][c] and not leq[a][c]]
+    for a in rng:
+        for b in rng:
+            if leq[a][b]:
+                for c in rng:
+                    if not leq[mult[a][c]][mult[b][c]]:
+                        out.append(("po-groupoid", "compat-right", (a, b, c)))
+                    if not leq[mult[c][a]][mult[c][b]]:
+                        out.append(("po-groupoid", "compat-left", (a, b, c)))
+    out += [("po-semigroup", "associative", (a, b, c)) for a in rng for b in rng for c in rng
+            if mult[mult[a][b]][c] != mult[a][mult[b][c]]]
+    tops = [t for t in rng if all(leq[a][t] for a in rng)]
+    if not tops:
+        maximal = [a for a in rng if all(a == b or not leq[a][b] for b in rng)]
+        out.append(("poe", "greatest-element", tuple(maximal[:2])))
+    missing_joins = [(a, b) for a in rng for b in rng if join_t[a][b] is None]
+    out += [("vee", "join-exists", w) for w in missing_joins]
+    if not missing_joins:
+        for a in rng:
+            for b in rng:
+                j = join_t[a][b]
+                for c in rng:
+                    if join_t[mult[a][c]][mult[b][c]] != mult[j][c]:
+                        out.append(("vee", "join-distributive-right", (a, b, c)))
+                    if join_t[mult[c][a]][mult[c][b]] != mult[c][j]:
+                        out.append(("vee", "join-distributive-left", (a, b, c)))
+    out += [("wedge", "meet-exists", (a, b)) for a in rng for b in rng if meet_t[a][b] is None]
+    if star is None:
+        out.append(("involution", "operation-present", ()))
+    else:
+        out += [("involution", "involutive", (a,)) for a in rng if star[star[a]] != a]
+        out += [("involution", "anti-homomorphism", (a, b)) for a in rng for b in rng
+                if star[mult[a][b]] != mult[star[b]][star[a]]]
+        out += [("involution", "order-preserving", (a, b)) for a in rng for b in rng
+                if leq[a][b] and not leq[star[a]][star[b]]]
+    prereqs = {"po-groupoid": (), "po-semigroup": ("po-groupoid",), "poe": ("po-groupoid",),
+               "vee": ("po-groupoid", "poe"), "wedge": ("po-groupoid",), "le": ("vee", "wedge"),
+               "involution": ("po-groupoid",)}
+    failed = {tier for tier, _, _ in out}
+    accepted = set()
+    for tier in prereqs:  # prerequisite order
+        if tier in failed:
+            continue
+        if all(p in accepted for p in prereqs[tier]):
+            accepted.add(tier)
+        else:
+            out.append((tier, "prerequisite", ()))
+    return out

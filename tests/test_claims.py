@@ -3,14 +3,14 @@ import json
 import pytest
 
 from starsemi import (
-    INVOLUTION, LE, POE, ModelSpec,
+    ALL_TIERS, INVOLUTION, LE, POE, ModelSpec,
     StructureAnalysis, check_all, check_claim, expand_claim_ids,
     get_claim, list_claims, list_mutants, replay_counterexample, report_record,
     search_counterexample,
 )
-from starsemi.claims import FAIL, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP
+from starsemi.claims import CONDITIONS, FAIL, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP
 
-from support import chain2, example2, mk, one_point
+from support import chain2, example2, mk, one_point, oracle_classify, scan_meet
 
 
 def test_registry_size_and_stability():
@@ -77,6 +77,24 @@ def test_hypothesis_gate_reports_missing_tiers():
     assert rep.status == NOT_APPLICABLE and "tier" in rep.reason
     rep2 = check_claim(S2, "prop05")  # only needs involution po-groupoid
     assert rep2.status == PASS
+
+
+def test_missing_tier_reasons_name_each_structures_own_gaps():
+    # one-point (every tier), example2 (no top), a non-associative table, a
+    # constant table without a star: each report names exactly its own gaps
+    structures = [one_point()[0], example2()[0],
+                  mk(((0, 1), (0, 0)), pairs=((0, 1),), star=(0, 1))[0],
+                  mk(((0, 0), (0, 0)), pairs=((0, 1),))[0]]
+    for claim in list_claims():
+        for S in structures:
+            rep = check_claim(S, claim.id)
+            missing = [t for t in ALL_TIERS if t in claim.requires_tiers and t not in S.tiers]
+            if missing:
+                assert rep.status == NOT_APPLICABLE
+                assert rep.reason == "missing tier(s): " + ", ".join(missing)
+            else:
+                assert not rep.reason.startswith("missing tier")
+    assert check_claim(example2()[0], "thm13-conv").reason == "missing tier(s): le"
 
 
 def test_hypothesis_gate_reports_unmet_condition():
@@ -172,3 +190,31 @@ def test_example2_with_recovered_order_checkable():
         break
     else:
         pytest.fail("no greatest-element order recovered")
+
+
+def test_sided_pair_claims_run_over_their_pairs(catalog_upto_4):
+    # thm13-fwd and its mutant take pairs with a left or b right ideal, thm22-fwd
+    # and the meets-below conditions pairs with a left and b right, all with a
+    # defined meet
+    applicable = set()
+    for S in catalog_upto_4:
+        flags = oracle_classify(S)
+        left = [f["left_ideal"] for f in flags]
+        right = [f["right_ideal"] for f in flags]
+        meets = {(a, b): scan_meet(S, a, b) for a in S.elements() for b in S.elements()}
+        either = [(a, b) for (a, b), m in meets.items() if m is not None and (left[a] or right[b])]
+        both = [(a, b) for (a, b), m in meets.items() if m is not None and left[a] and right[b]]
+        for cid, pairs in (("thm13-fwd", either), ("mut-thm13-swapped", either),
+                           ("thm22-fwd", both)):
+            rep = check_claim(S, cid)
+            if rep.status != NOT_APPLICABLE:
+                applicable.add(cid)
+                assert rep.instances_checked == len(pairs)
+        star, mult = S.star, S.mult
+        ctx = StructureAnalysis(S)
+        for name, reverse in (("sided-meets-below-star-products", False),
+                              ("sided-meets-below-reversed-star-products", True)):
+            want = all(S.le(meets[a, b], mult[star[b]][star[a]] if reverse
+                            else mult[star[a]][star[b]]) for a, b in both)
+            assert CONDITIONS[name](ctx) == want
+    assert applicable == {"thm13-fwd", "mut-thm13-swapped", "thm22-fwd"}

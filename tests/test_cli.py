@@ -109,6 +109,32 @@ def test_filters_output():
     assert "N(e) = {e}" in out
 
 
+def test_filters_output_is_unchanged_on_example2():
+    # one class and no windows: example2 has no greatest element
+    path = str(STRUCTURES / "example2.txt")
+    code, out = run_cli("filters", path)
+    assert code == 0
+    assert out == "".join(f"N({x}) = {{a, b, c, d, f}}\n" for x in "abcdf") + \
+        "class {a, b, c, d, f} greatest=-\n"
+    code, out = run_cli("filters", path, "--json")
+    assert code == 0
+    everything = ["a", "b", "c", "d", "f"]
+    doc = {"command": "filters", "file": path,
+           "filters": [{"element": x, "filter": everything, "window": None}
+                       for x in everything],
+           "classes": [{"members": everything, "greatest": None}]}
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_filters_output_with_windows_is_unchanged_on_chain2():
+    code, out = run_cli("filters", str(STRUCTURES / "chain2.txt"))
+    assert code == 0
+    assert out == ("N(0) = {0, e}   window = {0, e}\n"
+                   "N(e) = {e}   window = {e}\n"
+                   "class {0} greatest=0\n"
+                   "class {e} greatest=e\n")
+
+
 def test_filters_json_without_involution(tmp_path):
     f = tmp_path / "nostar.txt"
     f.write_text("n 2\nmult\n0 0\n0 1\nleq\n0 <= 1\n")

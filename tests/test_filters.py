@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starsemi import (
-    PO_SEMIGROUP,
-    filter_generated, filter_oracle, n_class_partition, thm26_set,
+    INVOLUTION, PO_SEMIGROUP, POE, RawStructure, StructureAnalysis,
+    filter_generated, filter_oracle, n_class_partition, thm26_set, validate_structure,
 )
 from starsemi.filters import ORACLE_MAX_ORDER, is_filter
 from starsemi.sampling import random_model
 
-from support import chain2, mk, one_point
+from support import chain2, mk, one_point, oracle_filter_saturation
 
 
 def test_chain2_filters():
@@ -115,3 +115,48 @@ def test_thm26_equivalence_on_star_intra_catalog(catalog_upto_3):
         matches = all(filter_generated(S, x).members == thm26_set(S, x)
                       for x in S.elements())
         assert matches == bool(profile.star_intra_regular)
+
+
+def _random_tables(rng, count, max_order):
+    """Validated random tables with random relations: mostly neither
+    associative nor ordered, so saturation meets every kind of divisor step."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_order)
+        mult = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        leq = tuple(tuple(i == j or rng.random() < 0.15 for j in range(n)) for i in range(n))
+        out.append(validate_structure(RawStructure(n=n, mult=mult, leq=leq))[0])
+    return out
+
+
+def test_saturation_members_and_rounds_match_the_set_oracle(catalog_upto_4):
+    rng = random.Random(20261018)
+    structures = list(catalog_upto_4)
+    structures += [random_model(rng, 9, (PO_SEMIGROUP,)) for _ in range(300)]
+    structures += _random_tables(rng, 600, 6)
+    for S in structures:
+        for x in S.elements():
+            fs = filter_generated(S, x)
+            assert (fs.members, fs.rounds) == oracle_filter_saturation(S, x)
+
+
+def _assert_analysis_matches_public_functions(S):
+    ctx = StructureAnalysis(S)
+    assert ctx.filter_members == tuple(filter_generated(S, x).members for x in S.elements())
+    assert ctx.partition == n_class_partition(S)
+    if S.e is not None and S.has(INVOLUTION):
+        assert ctx.windows == tuple(thm26_set(S, x) for x in S.elements())
+
+
+def test_analysis_caches_equal_public_functions_on_catalog(catalog_upto_4):
+    for S in catalog_upto_4:
+        _assert_analysis_matches_public_functions(S)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10 ** 9))
+def test_analysis_caches_equal_public_functions_on_random_structures(seed):
+    rng = random.Random(seed)
+    _assert_analysis_matches_public_functions(random_model(rng, 8, (PO_SEMIGROUP,)))
+    _assert_analysis_matches_public_functions(
+        random_model(rng, 8, (PO_SEMIGROUP, POE, INVOLUTION)))

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starsemi import (
-    INVOLUTION, PO_SEMIGROUP, POE, VEE,
+    INVOLUTION, PO_SEMIGROUP, POE, VEE, ElementClassification, RawStructure,
     classify_all, classify_element, generated_left, generated_right, in_ideal_generated,
+    validate_structure,
 )
 from starsemi.sampling import random_model, random_models
 
-from support import chain2, example2, mk, one_point
+from support import chain2, example2, mk, one_point, oracle_classify
 
 VEE_TIERS = (POE, VEE, PO_SEMIGROUP)
 
@@ -175,3 +176,25 @@ def test_two_sided_is_conjunction(catalog_upto_3):
     for S in catalog_upto_3:
         for c in classify_all(S):
             assert c.two_sided_ideal == (c.left_ideal and c.right_ideal)
+
+
+def _flags(S):
+    return [{"element": c.element, **{name: getattr(c, name)
+                                      for name in ElementClassification.FLAG_NAMES}}
+            for c in classify_all(S)]
+
+
+def test_classify_all_matches_table_oracle_on_catalog(catalog_upto_4):
+    for S in catalog_upto_4:
+        assert _flags(S) == oracle_classify(S)
+        assert [classify_element(S, a) for a in S.elements()] == list(classify_all(S))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10 ** 9), st.booleans())
+def test_classify_all_matches_table_oracle_on_random_structures(seed, with_star):
+    S = random_model(random.Random(seed), 8, (POE, PO_SEMIGROUP, INVOLUTION))
+    if not with_star:
+        S, _ = validate_structure(RawStructure(n=S.n, mult=S.mult, leq=S.leq))
+    assert S.has(INVOLUTION) == with_star
+    assert _flags(S) == oracle_classify(S)

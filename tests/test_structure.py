@@ -22,12 +22,14 @@ from starsemi import (
     validate_structure,
 )
 from starsemi.sampling import random_model
-from starsemi.structure import bounds_tables
+from starsemi.structure import (
+    _accepted_structure, bounds_tables, chain_leq, reflexive_transitive_closure,
+)
 import random
 
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, chain2, diamond_constant, example2, mk, one_point,
-    oracle_bounds_tables, scan_join, scan_meet,
+    oracle_bounds_tables, oracle_violations, scan_join, scan_meet,
 )
 
 
@@ -215,3 +217,66 @@ def test_violation_report_tier_consistency():
 def test_structural_errors(bad):
     with pytest.raises(StructureError):
         RawStructure(**bad)
+
+
+@st.composite
+def raw_structures(draw):
+    """Tables and relations of order 1-6: random ones (mostly neither
+    associative nor ordered) mixed with constant, left-zero and chain-min
+    tables and with equality, chain and closed-up relations, so that every
+    tier is met both accepted and refused."""
+    n = draw(st.integers(1, 6))
+    cells = st.integers(0, n - 1)
+    z = draw(cells)
+    mult = draw(st.sampled_from((
+        None,
+        tuple(tuple(z for _ in range(n)) for _ in range(n)),
+        tuple(tuple(x for _ in range(n)) for x in range(n)),
+        tuple(tuple(min(x, y) for y in range(n)) for x in range(n)),
+    )))
+    if mult is None:
+        mult = tuple(tuple(draw(cells) for _ in range(n)) for _ in range(n))
+    kind = draw(st.sampled_from(("random", "equality", "chain", "closure")))
+    if kind == "random":
+        leq = tuple(tuple(draw(st.booleans()) for _ in range(n)) for _ in range(n))
+    elif kind == "equality":
+        leq = equality_leq(n)
+    elif kind == "chain":
+        leq = chain_leq(n)
+    else:
+        pairs = draw(st.lists(st.tuples(cells, cells), max_size=2 * n))
+        leq = reflexive_transitive_closure(n, pairs)
+    star = draw(st.one_of(st.none(), st.just(tuple(range(n))),
+                          st.permutations(range(n)).map(tuple)))
+    return RawStructure(n=n, mult=mult, leq=leq, star=star)
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw_structures())
+def test_first_violation_check_accepts_what_full_validation_accepts(raw):
+    S, report = validate_structure(raw)
+    T = _accepted_structure(raw)
+    assert T.tiers == report.accepted
+    assert T == S  # same tables, greatest element and tier set
+
+
+@settings(deadline=None, max_examples=300)
+@given(raw_structures())
+def test_full_validation_lists_every_failing_instance(raw):
+    _, report = validate_structure(raw)
+    assert [(v.tier, v.axiom, v.witness) for v in report.violations] == oracle_violations(raw)
+
+
+def test_full_validation_lists_every_instance_in_order():
+    # order-4 antichain with constant multiplication: no top, no bound of
+    # any two distinct elements, no star
+    S, report = mk(((0,) * 4,) * 4)
+    distinct = [(a, b) for a in range(4) for b in range(4) if a != b]
+    assert [(v.tier, v.axiom, v.witness) for v in report.violations] == (
+        [(POE, "greatest-element", (0, 1))]
+        + [(VEE, "join-exists", w) for w in distinct]
+        + [(WEDGE, "meet-exists", w) for w in distinct]
+        + [(INVOLUTION, "operation-present", ())]
+        + [(LE, "prerequisite", ())])
+    assert report.accepted == {PO_GROUPOID, PO_SEMIGROUP}
+    assert len(report.violations_for(VEE)) == 12
