@@ -14,9 +14,14 @@ with the partner cell that (ab)* = b*a* determines, so tables that admit no
 involution are never built. Only the identity star fixes an idempotent at
 element 0; that breaks symmetry soundly because every relabeling commutes with
 the identity and every finite semigroup has an idempotent. Isomorphism
-rejection is by explicit canonical form; mirror images (anti-isomorphisms) are
-deliberately NOT identified, since left and right notions differ everywhere in
-this theory.
+rejection is by a canonical representative of each table and by dedupe of its
+orders and stars under the table's automorphisms; mirror images
+(anti-isomorphisms) are deliberately NOT identified, since left and right
+notions differ everywhere in this theory.
+
+``canonical_form`` and ``automorphisms`` are thin calls into one
+refine-and-individualize search (``_symmetry``), which yields the canonical
+labeling and the automorphism group together.
 """
 
 from __future__ import annotations
@@ -63,14 +68,19 @@ class ModelSpec:
 
 @dataclass(frozen=True, order=True)
 class CanonicalForm:
-    """Byte encoding of (mult, leq, star) minimized over all relabelings.
-    Equal forms characterize isomorphic structures."""
+    """Byte encoding of (mult, leq, star) under the canonical labeling that
+    the symmetry search picks (the least encoding over its leaves). Equal
+    forms characterize isomorphic structures.
+
+    ``digest`` carries a format prefix, ``v2-`` followed by the SHA-256 of
+    the bytes. Digests without a prefix came from the earlier encoding (the
+    least over all n! relabelings) and are not comparable with these."""
 
     data: bytes
 
     @property
     def digest(self) -> str:
-        return hashlib.sha256(self.data).hexdigest()
+        return "v2-" + hashlib.sha256(self.data).hexdigest()
 
 
 def _perm_inverse(p):
@@ -95,35 +105,193 @@ def _apply_perm_star(star, p, pinv):
     return tuple(pinv[star[p[x]]] for x in range(n))
 
 
-def _encode(n, mult, leq, star) -> bytes:
+# ---------------------------------------------------------------------------
+# canonical labeling and automorphism group
+
+def _encode(label, mult, leq, star) -> bytes:
+    """The tables relabeled by ``label`` (element -> new label), as bytes:
+    n, the product rows, the order rows as 0/1 (when given), then 0xFF, or
+    0xFE and the star."""
+    n = len(label)
+    elem = _perm_inverse(label)
     body = bytearray([n])
-    for row in mult:
-        body.extend(row)
-    for row in leq:
-        body.extend(1 if v else 0 for v in row)
+    for x in elem:
+        row = mult[x]
+        body.extend([label[row[y]] for y in elem])
+    if leq is not None:
+        for x in elem:
+            row = leq[x]
+            body.extend([1 if row[y] else 0 for y in elem])
     if star is None:
         body.append(0xFF)
     else:
         body.append(0xFE)
-        body.extend(star)
+        body.extend([label[star[x]] for x in elem])
     return bytes(body)
 
 
+def _orbit(points, gens):
+    seen = set(points)
+    stack = list(points)
+    while stack:
+        u = stack.pop()
+        for g in gens:
+            w = g[u]
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _common_prefix(a, b):
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    return k
+
+
+def _symmetry(mult, leq=None, star=None, group=False):
+    """(canonical encoding, automorphism group or None) of (mult[, leq][, star]),
+    by one refine-and-individualize search (the scheme of McKay & Piperno,
+    "Practical graph isomorphism, II", 2014).
+
+    A coloring is an ordered partition: each element holds the first position
+    of its cell, so cells split in place and an individualized element keeps
+    its position down to the leaves. Refinement starts from the idempotent
+    flag and gives each element the signature (its color, the sorted
+    (c[y], c[xy], c[yx]) over all y, the sorted colors of its strict up-set
+    and down-set, c[x*]) until no cell splits. The search individualizes each
+    element of the first smallest non-singleton cell and refines again, down
+    to discrete colorings; a leaf labels x with c[x], and the canonical
+    encoding is the least leaf encoding.
+
+    Two leaves with equal encodings give an automorphism that maps the path
+    of one onto the path of the other, so the subtree where the paths part is
+    the image of one already searched and is dropped. A child in the orbit of
+    a searched sibling, under the automorphisms found that fix the node's
+    path, is skipped. The automorphisms found while searching the siblings of
+    the first leaf's path generate its pointwise stabilizers, so with
+    ``group`` the sorted group is the product of their orbit transversals.
+    """
+    n = len(mult)
+    rng = range(n)
+    cols = [tuple(row[x] for row in mult) for x in rng]
+    if leq is not None:
+        ups = [tuple(y for y in rng if y != x and leq[x][y]) for x in rng]
+        downs = [tuple(y for y in rng if leq[y][x] and y != x) for x in rng]
+    nn = n * n
+
+    def refine(c, cells):
+        while cells < n:
+            sigs = []
+            for x in rng:
+                row, col = mult[x], cols[x]
+                sig = [c[x]]
+                sig += sorted([c[y] * nn + c[row[y]] * n + c[col[y]] for y in rng])
+                if leq is not None:
+                    sig.append(-1)
+                    sig += sorted([c[y] for y in ups[x]])
+                    sig.append(-1)
+                    sig += sorted([c[y] for y in downs[x]])
+                if star is not None:
+                    sig.append(c[star[x]])
+                sigs.append(sig)
+            order = sorted(rng, key=sigs.__getitem__)
+            c = [0] * n
+            prev, start, count = sigs[order[0]], 0, 1
+            for k in range(1, n):
+                sig = sigs[order[k]]
+                if sig != prev:
+                    prev, start = sig, k
+                    count += 1
+                c[order[k]] = start
+            if count == cells:
+                break
+            cells = count
+        return c, cells
+
+    first = best = None  # (encoding, labeling, path) of a leaf
+    gens = []  # (length of the common prefix with the first path, automorphism)
+
+    def leaf(c, path):
+        nonlocal first, best
+        enc = _encode(c, mult, leq, star)
+        for ref in (first, best):
+            if ref is not None and ref[0] == enc:
+                elem = _perm_inverse(ref[1])
+                fixed = _common_prefix(path, first[2])
+                gens.append((fixed, tuple(elem[v] for v in c)))
+                return _common_prefix(path, ref[2])
+        if first is None:
+            first = best = (enc, c, path)
+        elif enc < best[0]:
+            best = (enc, c, path)
+        return len(path) - 1
+
+    def search(c, cells, path):
+        # returns the depth at which the search goes on
+        if cells == n:
+            return leaf(c, path)
+        size = [0] * n
+        for v in c:
+            size[v] += 1
+        s = min((k for k in rng if size[k] > 1), key=size.__getitem__)
+        cell = [x for x in rng if c[x] == s]
+        depth = len(path)
+        done = []
+        for x in cell:
+            if done and gens:
+                fixing = [g for _, g in gens if all(g[p] == p for p in path)]
+                if x in _orbit(done, fixing):
+                    continue
+            child = [s + 1 if v == s else v for v in c]
+            child[x] = s
+            back = search(*refine(child, cells + 1), path + (x,))
+            if back < depth:
+                return back
+            done.append(x)
+        return depth - 1
+
+    search(*refine([0 if row[x] == x else 1 for x, row in enumerate(mult)], 0), ())
+    if not group:
+        return best[0], None
+    path = first[2]
+    elems = [tuple(rng)]
+    for i in reversed(range(len(path))):
+        level = [g for fixed, g in gens if fixed >= i]
+        transversal = {path[i]: tuple(rng)}
+        queue = [path[i]]
+        for u in queue:
+            tu = transversal[u]
+            for g in level:
+                w = g[u]
+                if w not in transversal:
+                    transversal[w] = tuple(map(g.__getitem__, tu))
+                    queue.append(w)
+        if len(transversal) > 1:
+            elems = [tuple(map(t.__getitem__, h)) for t in transversal.values() for h in elems]
+    elems.sort()
+    return best[0], elems
+
+
 def canonical_form(S) -> CanonicalForm:
-    """Minimal encoding over all n! relabelings (brute force, order <= 8)."""
+    """The canonical form of a structure (order <= 8): its tables encoded
+    under the labeling that the symmetry search picks."""
     raw = S.raw if isinstance(S, OrderedAlgebra) else S
-    n = raw.n
-    if n > CANONICAL_MAX_ORDER:
+    if raw.n > CANONICAL_MAX_ORDER:
         raise ValueError(f"canonical_form is limited to order <= {CANONICAL_MAX_ORDER}")
-    best = None
-    for p in permutations(range(n)):
-        pinv = _perm_inverse(p)
-        enc = _encode(n, _apply_perm_mult(raw.mult, p, pinv),
-                      _apply_perm_leq(raw.leq, p),
-                      None if raw.star is None else _apply_perm_star(raw.star, p, pinv))
-        if best is None or enc < best:
-            best = enc
-    return CanonicalForm(best)
+    return CanonicalForm(_symmetry(raw.mult, raw.leq, raw.star)[0])
+
+
+def automorphisms(mult, leq=None, star=None):
+    """All relabelings p preserving the given tables, p[xy] = p[x]p[y] and
+    likewise for leq and star, as sorted tuples (order <= 8). They come from
+    the generators that the symmetry search finds."""
+    if len(mult) > CANONICAL_MAX_ORDER:
+        raise ValueError(f"automorphisms is limited to order <= {CANONICAL_MAX_ORDER}")
+    return _symmetry(mult, leq, star, group=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +499,6 @@ def _preserves_order(leq, p):
     return all(leq[p[a]][p[b]] for a in range(n) for b in range(n) if leq[a][b])
 
 
-def automorphisms(mult, leq=None, star=None):
-    """All relabelings preserving the given tables (order <= 8)."""
-    n = len(mult)
-    if n > CANONICAL_MAX_ORDER:
-        raise ValueError(f"automorphisms is limited to order <= {CANONICAL_MAX_ORDER}")
-    mult = tuple(tuple(row) for row in mult)
-    out = []
-    for p in permutations(range(n)):
-        pinv = _perm_inverse(p)
-        if _apply_perm_mult(mult, p, pinv) != mult:
-            continue
-        if leq is not None and _apply_perm_leq(leq, p) != tuple(tuple(r) for r in leq):
-            continue
-        if star is not None and _apply_perm_star(star, p, pinv) != tuple(star):
-            continue
-        out.append(p)
-    return out
-
-
 @lru_cache(maxsize=16)
 def semigroup_representatives(n: int, star_admitting: bool = False):
     """Canonical representatives of the associative tables up to isomorphism,
@@ -497,19 +646,22 @@ def _join_laws_hold(mult, leq, join_t):
 def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_joins,
                      require_meets, require_join_distributivity):
     """The compatible order stream, minus orders that are not the least in
-    their orbit under ``nontrivial_auts`` and orders failing a requirement."""
+    their orbit under ``nontrivial_auts`` and orders failing a requirement,
+    as (leq, bounds) pairs; ``bounds`` is the (join, meet) table pair when a
+    requirement needed it, else None."""
     for leq in _compatible_order_stream(mult, star, require_greatest):
         if nontrivial_auts and any(_apply_perm_leq(leq, p) < leq for p in nontrivial_auts):
             continue
+        bounds = None
         if require_joins or require_meets or require_join_distributivity:
-            join_t, meet_t = bounds_tables(leq)
+            bounds = join_t, meet_t = bounds_tables(leq)
             if require_joins and any(v is None for row in join_t for v in row):
                 continue
             if require_meets and any(v is None for row in meet_t for v in row):
                 continue
             if require_join_distributivity and not _join_laws_hold(mult, leq, join_t):
                 continue
-        yield leq
+        yield leq, bounds
 
 
 def _nontrivial(perms):
@@ -532,10 +684,11 @@ def compatible_orders(mult, star=None, *, require_greatest=False, require_joins=
         if any(star[star[x]] != x for x in range(len(mult))) or not _anti_automorphic(mult, star):
             return
     auts = automorphisms(mult, star=star) if dedupe else []
-    yield from _filtered_orders(
-        mult, star, _nontrivial(auts), require_greatest=require_greatest,
-        require_joins=require_joins, require_meets=require_meets,
-        require_join_distributivity=require_join_distributivity)
+    for leq, _ in _filtered_orders(
+            mult, star, _nontrivial(auts), require_greatest=require_greatest,
+            require_joins=require_joins, require_meets=require_meets,
+            require_join_distributivity=require_join_distributivity):
+        yield leq
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +709,7 @@ def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
         orders = _filtered_orders(
             mult, None, nontrivial, require_greatest=POE in tiers, require_joins=VEE in tiers,
             require_meets=WEDGE in tiers, require_join_distributivity=VEE in tiers)
-        for leq in orders:
+        for leq, bounds in orders:
             if want_star:
                 stab = [p for p in nontrivial if _apply_perm_leq(leq, p) == leq]
                 stars = [star for star in table_stars if _preserves_order(leq, star)
@@ -565,15 +718,17 @@ def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
             else:
                 stars = [None]
             for star in stars:
-                yield _finish_model(mult, leq, star, tiers)
+                yield _finish_model(mult, leq, star, tiers, bounds)
                 emitted += 1
                 if spec.limit is not None and emitted >= spec.limit:
                     return
 
 
-def _finish_model(mult, leq, star, tiers):
-    # the full tier set of the model, from the first violation of each tier
-    model = _accepted_structure(RawStructure(n=len(mult), mult=mult, leq=leq, star=star))
+def _finish_model(mult, leq, star, tiers, bounds):
+    # the full tier set of the model, from the first violation of each tier;
+    # ``bounds`` are the join/meet tables of leq when the order filter built them
+    model = _accepted_structure(RawStructure(n=len(mult), mult=mult, leq=leq, star=star),
+                                bounds)
     missing = tiers - model.tiers
     assert not missing, f"enumerated model misses tiers {missing}"  # search bug if hit
     return model

@@ -477,10 +477,11 @@ def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationRep
             ValidationReport(accepted=accepted, violations=tuple(violations)))
 
 
-def _accepted_structure(raw: RawStructure) -> OrderedAlgebra:
+def _accepted_structure(raw: RawStructure, bounds=None) -> OrderedAlgebra:
     """The structure ``validate_structure`` returns, without its report: each
-    tier check stops at its first violation and no record is kept."""
-    join_t, meet_t = bounds_tables(raw.leq)
+    tier check stops at its first violation and no record is kept. ``bounds``
+    may hand in ``bounds_tables(raw.leq)`` when the caller has it."""
+    join_t, meet_t = bounds if bounds is not None else bounds_tables(raw.leq)
     e = greatest_element(raw.leq)
     firsts = (next(check, None) for check in _tier_checks(raw, e, join_t, meet_t))
     failed = frozenset(v.tier for v in firsts if v is not None)

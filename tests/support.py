@@ -8,7 +8,6 @@ are checked against something they do not share code with.
 from itertools import permutations, product
 
 from starsemi import RawStructure, validate_structure
-from starsemi.enumeration import canonical_form
 from starsemi.structure import equality_leq, greatest_element, reflexive_transitive_closure
 
 EXAMPLE2_MULT = (
@@ -132,12 +131,48 @@ def admits_involution(mult):
     return any(anti_automorphic(mult, p) for p in involutive_perms(len(mult)))
 
 
+def _relabeled_bytes(n, mult, leq, star, p):
+    """(mult, leq, star) relabeled by p (new label -> old element), as bytes."""
+    pinv = [0] * n
+    for i, x in enumerate(p):
+        pinv[x] = i
+    body = [n]
+    body += [pinv[mult[p[x]][p[y]]] for x in range(n) for y in range(n)]
+    if leq is not None:
+        body += [1 if leq[p[x]][p[y]] else 0 for x in range(n) for y in range(n)]
+    if star is None:
+        body.append(0xFF)
+    else:
+        body += [0xFE] + [pinv[star[p[x]]] for x in range(n)]
+    return bytes(body)
+
+
+def brute_canonical_form(S):
+    """The least relabeled encoding over all n! relabelings (order <= 8)."""
+    raw = getattr(S, "raw", S)
+    n = raw.n
+    return min(_relabeled_bytes(n, raw.mult, raw.leq, raw.star, p)
+               for p in permutations(range(n)))
+
+
+def brute_automorphisms(mult, leq=None, star=None):
+    """Every permutation p with p[xy] = p[x]p[y], x <= y iff p[x] <= p[y]
+    and p[x*] = p[x]*, in lexicographic order, by trying all n!."""
+    n = len(mult)
+    rng = range(n)
+    return [p for p in permutations(rng)
+            if all(p[mult[x][y]] == mult[p[x]][p[y]] for x in rng for y in rng)
+            and (leq is None or all(bool(leq[x][y]) == bool(leq[p[x]][p[y]])
+                                    for x in rng for y in rng))
+            and (star is None or all(p[star[x]] == star[p[x]] for x in rng))]
+
+
 def star_admitting_class_forms(n):
     """Canonical forms (equality order, no star) of the isomorphism classes
     of associative tables admitting an involutive anti-automorphism, by
     brute-force generate-filter-dedupe (tiny n only)."""
     eq = equality_leq(n)
-    return {canonical_form(RawStructure(n=n, mult=mult, leq=eq))
+    return {brute_canonical_form(RawStructure(n=n, mult=mult, leq=eq))
             for mult in brute_associative_tables(n) if admits_involution(mult)}
 
 
@@ -164,9 +199,9 @@ def naive_model_forms(n, require_involution=True, require_greatest=True):
                            for a in range(n) for b in range(n)):
                         continue
                     raw = RawStructure(n=n, mult=mult, leq=leq, star=star)
-                    forms.add(canonical_form(raw))
+                    forms.add(brute_canonical_form(raw))
             else:
-                forms.add(canonical_form(RawStructure(n=n, mult=mult, leq=leq)))
+                forms.add(brute_canonical_form(RawStructure(n=n, mult=mult, leq=leq)))
     return forms
 
 

@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 from starsemi import (
-    INVOLUTION, LE, POE, WEDGE,
+    INVOLUTION, LE, POE, VEE, WEDGE,
     ModelSpec, associative_tables, automorphisms, canonical_form, collect_models,
     compatible_orders, enumerate_models, search_counterexample, semigroup_representatives,
     validate_structure, write_catalog,
@@ -15,8 +15,8 @@ from starsemi.structure import equality_leq, greatest_element
 
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, admits_involution, anti_automorphic,
-    brute_associative_tables, chain2, involutive_perms, naive_model_forms,
-    oracle_bounds_tables, star_admitting_class_forms,
+    brute_associative_tables, brute_canonical_form, chain2, involutive_perms,
+    naive_model_forms, oracle_bounds_tables, star_admitting_class_forms,
 )
 
 # Golden counts, established by the naive generate-filter-dedupe oracle at
@@ -74,10 +74,10 @@ def test_star_admitting_representative_counts():
 def test_star_admitting_representatives_match_oracle():
     for n in (1, 2, 3):
         eq = equality_leq(n)
-        forms = [canonical_form(RawStructure(n=n, mult=m, leq=eq))
-                 for m in semigroup_representatives(n, star_admitting=True)]
-        assert len(set(forms)) == len(forms)
-        assert set(forms) == star_admitting_class_forms(n)
+        raws = [RawStructure(n=n, mult=m, leq=eq)
+                for m in semigroup_representatives(n, star_admitting=True)]
+        assert len({canonical_form(raw) for raw in raws}) == len(raws)
+        assert {brute_canonical_form(raw) for raw in raws} == star_admitting_class_forms(n)
     assert semigroup_representatives(4, star_admitting=True) == tuple(
         m for m in semigroup_representatives(4) if admits_involution(m))
 
@@ -98,9 +98,9 @@ def test_model_counts_involution_poe():
 def test_matches_naive_oracle_orders_1_to_3():
     for n in (1, 2, 3):
         spec = ModelSpec(order=n, required_tiers=frozenset({INVOLUTION, POE}))
-        emitted = [canonical_form(S) for S in enumerate_models(spec)]
-        assert len(set(emitted)) == len(emitted)
-        assert set(emitted) == naive_model_forms(n)
+        emitted = list(enumerate_models(spec))
+        assert len({canonical_form(S) for S in emitted}) == len(emitted)
+        assert {brute_canonical_form(S) for S in emitted} == naive_model_forms(n)
 
 
 def test_right_zero_admits_no_involution():
@@ -110,6 +110,15 @@ def test_right_zero_admits_no_involution():
     from starsemi.enumeration import _canonical_mult
     emitted_mults = {_canonical_mult(S.raw.mult) for S in enumerate_models(spec)}
     assert _canonical_mult(right_zero) not in emitted_mults
+
+
+def test_emitted_models_carry_the_tiers_and_bounds_of_full_validation():
+    # the lattice-tier specs hand the filter's join/meet tables to the re-check
+    for tiers in ({INVOLUTION, VEE}, {INVOLUTION, WEDGE}, {LE}, {INVOLUTION, POE}):
+        for S in enumerate_models(ModelSpec(order=4, required_tiers=frozenset(tiers))):
+            model, report = validate_structure(S.raw)
+            assert S.tiers == report.accepted
+            assert S == model  # same tables, greatest element, join and meet tables
 
 
 def test_emitted_models_validate_at_requested_tiers():
