@@ -527,10 +527,10 @@ _DEFS: tuple[_ClaimDef, ...] = (
         "or any a and a right ideal element b, whenever a ^ b exists",
         _INV_POE_SG, _body_thm13_fwd, condition="star-regular", variables=("a", "b")),
     _mk("thm13-conv",
-        "if a ^ b <= b*a* for every left ideal element a and right ideal element b, "
-        "the structure is regular",
+        "if a ^ b <= a*b* for every left ideal element a and right ideal element b "
+        "of a lattice structure, the structure is regular",
         _INV_LE_SG, _body_regular,
-        condition="sided-meets-below-reversed-star-products", variables=("a",)),
+        condition="sided-meets-below-star-products", variables=("a",)),
     _mk("prop14",
         "on *-regular structures: a <= r(a*) and a <= l(a*)",
         _INV_VEE_SG, _body_prop14, condition="star-regular", variables=("a",)),
@@ -574,10 +574,10 @@ _DEFS: tuple[_ClaimDef, ...] = (
         "and a right ideal element b, whenever a ^ b exists",
         _INV_POE_SG, _body_thm22_fwd, condition="star-intra-regular", variables=("a", "b")),
     _mk("thm22-conv",
-        "if a ^ b <= a*b* for every left ideal element a and right ideal element b "
+        "if a ^ b <= b*a* for every left ideal element a and right ideal element b "
         "of a lattice structure, the structure is intra-regular",
         _INV_LE_SG, _body_intra_regular,
-        condition="sided-meets-below-star-products", variables=("a",)),
+        condition="sided-meets-below-reversed-star-products", variables=("a",)),
     _mk("prop23",
         "on *-intra-regular structures: e a b e = e b* a* e",
         _INV_POE_SG, _body_prop23, condition="star-intra-regular", variables=("a", "b")),
@@ -618,6 +618,12 @@ _MUTANT_DEFS: tuple[_ClaimDef, ...] = (
         "corrupted thm13-fwd with the product reversed: a ^ b <= b*a*",
         _INV_POE_SG, _body_mut_thm13_swapped,
         condition="star-regular", variables=("a", "b"), kind=MUTANT),
+    _mk("mut-thm13-conv-swapped",
+        "corrupted thm13-conv with the product reversed: if a ^ b <= b*a* for every "
+        "left ideal element a and right ideal element b of a lattice structure, "
+        "the structure is regular",
+        _INV_LE_SG, _body_regular,
+        condition="sided-meets-below-reversed-star-products", variables=("a",), kind=MUTANT),
     _mk("mut-prop15-all",
         "corrupted prop15 asserted for arbitrary elements: a = a* for every a",
         _INV_POE_SG, _body_mut_prop15_all,

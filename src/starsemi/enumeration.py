@@ -11,9 +11,10 @@ branch has a top. When an involution is required, the table
 search is star-first: it runs once per involution in normal form,
 (0 1)(2 3)... with the remaining elements fixed, and fills each cell together
 with the partner cell that (ab)* = b*a* determines, so tables that admit no
-involution are never built. Only the identity star fixes an idempotent at
-element 0; that breaks symmetry soundly because every relabeling commutes with
-the identity and every finite semigroup has an idempotent. Isomorphism
+involution are never built. Each run of the table search for the semigroup
+classes visits only the lex-leaders under the relabelings that commute with
+its star (all of them without a star), so it builds one table per orbit of
+that group instead of every labeled table. Isomorphism
 rejection is by a canonical representative of each table and by dedupe of its
 orders and stars under the table's automorphisms; mirror images
 (anti-isomorphisms) are deliberately NOT identified, since left and right
@@ -309,9 +310,22 @@ class _AssocSearch:
     semigroup are visited: giving cell (i, j) the value v gives its partner
     (j*, i*) the value v* in the same step, as (ij)* = j*i* demands, and a
     cell that is its own partner accepts only values with v* = v.
+
+    With ``symmetries``, the non-identity elements of a group G of
+    relabelings under which the set of visited tables is closed, only the
+    lex-leaders are visited: the tables M with M <= g(M) for every g in G,
+    where g(M)[i][j] = g(M[g^-1 i][g^-1 j]) and tables compare cell by cell in
+    the walk order, the fill order with each partner right after its cell. These
+    are the symmetry-breaking predicates of Crawford, Ginsberg, Luks & Roy,
+    "Symmetry-breaking predicates for search problems", KR 1996. At the last
+    cell of each block the partial table is compared with each g(M) in walk
+    order up to the first cell undefined on either side, and the branch is
+    cut when the first difference has g(M) < M: every completion keeps that
+    difference. The least table of each orbit is never cut, so every orbit
+    met by the unpruned search keeps exactly one table.
     """
 
-    def __init__(self, n: int, star=None, fix_first_idempotent: bool = False):
+    def __init__(self, n: int, star=None, symmetries=()):
         self.n = n
         self.star = star
         order = []
@@ -329,13 +343,35 @@ class _AssocSearch:
             else:
                 values = range(n)
                 mated.add(mate)
-            if not self.cells and fix_first_idempotent:
-                values = (0,)
             self.cells.append((i, j))
             self.mates.append(mate)
             self.values.append(values)
+        walk = [c for cell, mate in zip(self.cells, self.mates) for c in (cell, mate)
+                if c is not None]
+        self.symmetries = []
+        for g in symmetries:
+            ginv = _perm_inverse(g)
+            self.symmetries.append((g, [(i, j, ginv[i], ginv[j]) for i, j in walk]))
+        blocks = [max(cell) for cell in self.cells] + [n]
+        self.block_end = [blocks[k] != blocks[k + 1] for k in range(len(self.cells))]
         self.m = [[None] * n for _ in range(n)]
         self.occ = [[] for _ in range(n)]
+
+    def _lex_leader(self):
+        # False when some g(M) is below M at the first cell, in walk order,
+        # where the two differ, all cells before it defined on both sides
+        m = self.m
+        for g, pairs in self.symmetries:
+            for i, j, a, b in pairs:
+                x, y = m[i][j], m[a][b]
+                if x is None or y is None:
+                    break
+                y = g[y]
+                if y != x:
+                    if y < x:
+                        return False
+                    break
+        return True
 
     def _ok(self, i, j):
         # check every triple whose four table accesses just became defined
@@ -375,6 +411,7 @@ class _AssocSearch:
         m, occ, star = self.m, self.occ, self.star
         cells, mates, values = self.cells, self.mates, self.values
         last = len(cells) - 1
+        block_end = self.block_end
 
         def fill(k):
             i, j = cells[k]
@@ -390,7 +427,7 @@ class _AssocSearch:
                 # exactly when its star image (c*b*)a* = c*(b*a*) does, and
                 # every triple through the mate is the image of one through
                 # (i, j): checking (i, j) alone suffices
-                if self._ok(i, j):
+                if self._ok(i, j) and (not block_end[k] or self._lex_leader()):
                     if k == last:
                         visit(tuple(map(tuple, m)))
                     else:
@@ -504,29 +541,48 @@ def semigroup_representatives(n: int, star_admitting: bool = False):
     """Canonical representatives of the associative tables up to isomorphism,
     optionally restricted to tables admitting an involutive anti-automorphism.
 
-    Without the restriction, the search fixes an idempotent at element 0
-    (every finite semigroup has one, so every isomorphism class is still
-    reached). With it, the search runs once per involution in normal form,
+    With the restriction, the search runs once per involution in normal form,
     the transpositions (0 1)(2 3)...(2k-2 2k-1) with the other elements fixed,
     for k = 0..n//2: every involution is conjugate to one of these, so every
     class that admits one has a labeled table respecting a normal-form star.
-    Each run visits only the tables its star respects. Under the identity star
-    (k = 0) the search still fixes an idempotent at element 0, since every
-    relabeling commutes with the identity; the other stars break no symmetry.
-    The completeness of the result is what the naive-oracle tests verify.
+    Each run visits only the tables its star respects.
+
+    Each run (the one run without a star too) visits only the lex-leaders
+    (see ``_AssocSearch``) under the centralizer of its star s: the
+    relabelings p with p∘s = s∘p, all of them without a star. Such a p maps a
+    table that respects s to one that does too, so the set the unpruned run
+    visits is closed under the group, and the least table of each orbit in
+    it, in the search's cell order, is never cut. Every class the unpruned
+    run meets is therefore still met, and ``_canonical_mult`` maps it to the
+    same representative: the result is the tuple the unpruned runs give,
+    from one table per orbit instead of one per labeled table. No separate
+    step fixes an idempotent at 0: the cell order starts at (0, 0) and every
+    finite semigroup has an idempotent, so under the identity star or no
+    star, whose groups move every element to 0, every lex-leader has
+    0 * 0 = 0. The completeness of the result is what the naive-oracle tests
+    verify.
     """
     reps = set()
 
     def visit(mult):
         reps.add(_canonical_mult(mult))
 
+    identity = tuple(range(n))
     if star_admitting:
-        for k in range(n // 2 + 1):
-            star = tuple(x ^ 1 if x < 2 * k else x for x in range(n))
-            _AssocSearch(n, star, fix_first_idempotent=k == 0).run(visit)
+        stars = [tuple(x ^ 1 if x < 2 * k else x for x in identity) for k in range(n // 2 + 1)]
     else:
-        _AssocSearch(n, fix_first_idempotent=True).run(visit)
+        stars = [None]
+    for star in stars:
+        _AssocSearch(n, star, symmetries=_centralizer(star or identity)).run(visit)
     return tuple(sorted(reps))
+
+
+def _centralizer(star):
+    """The relabelings other than the identity that commute with ``star``:
+    they map the tables respecting ``star`` onto tables respecting it."""
+    n = len(star)
+    return [p for p in permutations(range(n))
+            if all(p[star[x]] == star[p[x]] for x in range(n)) and p != tuple(range(n))]
 
 
 # ---------------------------------------------------------------------------

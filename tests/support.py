@@ -131,6 +131,44 @@ def admits_involution(mult):
     return any(anti_automorphic(mult, p) for p in involutive_perms(len(mult)))
 
 
+def search_walk(n, star=None):
+    """The cells of an n*n table in the order the table search fills them:
+    block t is row t of the subtable on 0..t, then its column t above the
+    diagonal; each cell is followed by its partner (j*, i*) under ``star``
+    when that is a cell not met before."""
+    walk = []
+    for t in range(n):
+        for i, j in [(t, j) for j in range(t + 1)] + [(i, t) for i in range(t)]:
+            for cell in ((i, j),) if star is None else ((i, j), (star[j], star[i])):
+                if cell not in walk:
+                    walk.append(cell)
+    return walk
+
+
+def commuting_perms(n, star=None):
+    """Every permutation but the identity that commutes with ``star`` (every
+    one when ``star`` is None)."""
+    return [p for p in permutations(range(n))
+            if p != tuple(range(n))
+            and (star is None or all(p[star[x]] == star[p[x]] for x in range(n)))]
+
+
+def lex_leader(mult, walk, group):
+    """True when no table relabeled by a p in ``group`` (the product x y
+    becoming p(x) p(y) = p(xy)) comes before ``mult``, both read cell by
+    cell in ``walk`` order."""
+    n = len(mult)
+    mine = [mult[i][j] for i, j in walk]
+    for p in group:
+        image = [[None] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                image[p[x]][p[y]] = p[mult[x][y]]
+        if [image[i][j] for i, j in walk] < mine:
+            return False
+    return True
+
+
 def _relabeled_bytes(n, mult, leq, star, p):
     """(mult, leq, star) relabeled by p (new label -> old element), as bytes."""
     pinv = [0] * n

@@ -9,15 +9,16 @@ from contextlib import contextmanager
 
 from starsemi import (
     INVOLUTION, PO_SEMIGROUP, POE,
-    ModelSpec, canonical_form, enumerate_models, filter_generated,
-    filter_oracle, list_claims, n_class_partition, regularity_profile,
+    ModelSpec, StructureAnalysis, canonical_form, check_claim, enumerate_models,
+    filter_generated, filter_oracle, list_claims, n_class_partition, regularity_profile,
     search_counterexample, thm26_set, validate_structure,
 )
+from starsemi.claims import FAIL
 from starsemi.cli import run as cli_run
 from starsemi.fileformat import load_structure
 from starsemi.sampling import random_models
 
-from conftest import record_acceptance
+from conftest import STRUCTURES, record_acceptance
 from support import brute_canonical_form, naive_model_forms
 
 INV_POE = frozenset({INVOLUTION, POE})
@@ -27,12 +28,14 @@ INV_POE = frozenset({INVOLUTION, POE})
 # The sweep itself established that every claim is exercised; the list is empty.
 HYPOTHESIS_UNMET_AT_ORDER_4 = frozenset()
 
-# Criterion 8 golden outcomes over the order-<=4 sweep. The two unfalsified
-# variants are provable consequences of the registered claims (see the check
-# comments below), so no finite catalog can falsify them.
+# Criterion 8 golden outcomes over the order-<=4 sweep. mut-prop23-nostar and
+# mut-thm13-swapped are provable consequences of the registered claims, so no
+# finite catalog can falsify them. mut-thm13-conv-swapped first fails at order
+# 5, on one model: the class of structures/thm13_conv_swapped_counterexample.txt.
 MUTANT_OUTCOMES = {
     "mut-prop23-nostar": "unfalsified-at-bound",
     "mut-thm13-swapped": "unfalsified-at-bound",
+    "mut-thm13-conv-swapped": "unfalsified-at-bound",
     "mut-prop15-all": "falsified",
     "mut-prop07-noswap": "falsified",
     "mut-prop17-all-idem": "falsified",
@@ -79,8 +82,8 @@ def test_criterion_1_example2_fidelity(example2_path):
         assert time.perf_counter() - t0 < 1.0
 
 
-def test_criterion_2_exhaustive_claim_sweep():
-    with criterion(2, "order-4 claim sweep, zero failures"):
+def test_criterion_2_exhaustive_claim_sweep(catalog_5):
+    with criterion(2, "order-4 and order-5 claim sweeps, zero failures"):
         t0 = time.perf_counter()
         code = cli_run(["search", "--order", "3", "--tiers", "involution,poe",
                         "--claims", "all"], stdout=_Discard())
@@ -94,6 +97,13 @@ def test_criterion_2_exhaustive_claim_sweep():
         assert sweep.models_checked == 482
         assert all(st.failures == 0 for st in sweep.stats.values())
         assert order4_time < 600.0
+        # order 5 on the catalog that criterion 4 also reads
+        assert len(catalog_5) == 10200
+        ids = [c.id for c in list_claims()]
+        for S in catalog_5:
+            ctx = StructureAnalysis(S)
+            for cid in ids:
+                assert check_claim(S, cid, ctx).status != FAIL, (cid, S.raw)
 
 
 class _Discard:
@@ -174,7 +184,7 @@ def test_criterion_7_enumerator_soundness_completeness(catalog_upto_4):
         assert len(set(order4)) == len(order4)
 
 
-def test_criterion_8_mutation_sensitivity():
+def test_criterion_8_mutation_sensitivity(catalog_5):
     with criterion(8, "corrupted claim variants are caught or reported unfalsified"):
         outcomes = {}
         for mut in MUTANT_OUTCOMES:
@@ -196,3 +206,7 @@ def test_criterion_8_mutation_sensitivity():
         spec_listed = ("mut-prop23-nostar", "mut-thm13-swapped", "mut-prop15-all")
         assert len(spec_listed) >= 3
         assert any(outcomes[m] == "falsified" for m in spec_listed)
+        failing = [S for S in catalog_5
+                   if check_claim(S, "mut-thm13-conv-swapped").status == FAIL]
+        fixture = load_structure(STRUCTURES / "thm13_conv_swapped_counterexample.txt")
+        assert [canonical_form(S) for S in failing] == [canonical_form(fixture)]

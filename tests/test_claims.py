@@ -5,17 +5,20 @@ import pytest
 from starsemi import (
     ALL_TIERS, INVOLUTION, LE, POE, ModelSpec,
     StructureAnalysis, check_all, check_claim, expand_claim_ids,
-    get_claim, list_claims, list_mutants, replay_counterexample, report_record,
-    search_counterexample,
+    get_claim, list_claims, list_mutants, regularity_profile, replay_counterexample,
+    report_record, search_counterexample, validate_structure,
 )
 from starsemi.claims import CONDITIONS, FAIL, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP
+from starsemi.fileformat import load_structure
+
+from conftest import STRUCTURES
 
 from support import chain2, example2, mk, one_point, oracle_classify, scan_meet
 
 
 def test_registry_size_and_stability():
     claims = list_claims()
-    assert len(claims) >= 24
+    assert len(claims) == 33
     assert len({c.id for c in claims}) == len(claims)
     assert claims == list_claims()  # stable order
 
@@ -218,3 +221,22 @@ def test_sided_pair_claims_run_over_their_pairs(catalog_upto_4):
                             else mult[star[a]][star[b]]) for a, b in both)
             assert CONDITIONS[name](ctx) == want
     assert applicable == {"thm13-fwd", "mut-thm13-swapped", "thm22-fwd"}
+
+
+def test_swapped_thm13_converse_fails_on_the_order5_fixture():
+    # thm13-fwd concludes a ^ b <= a*b* and thm22-fwd b*a*; each converse
+    # assumes the inequality its forward direction concludes. The fixture
+    # meets only the b*a* hypothesis, and is intra-regular but not regular.
+    raw = load_structure(STRUCTURES / "thm13_conv_swapped_counterexample.txt")
+    S, report = validate_structure(raw)
+    assert LE in report.accepted and INVOLUTION in report.accepted
+    profile = regularity_profile(S)
+    assert not profile.regular and profile.intra_regular and profile.star_intra_regular
+    rep = check_claim(S, "mut-thm13-conv-swapped")
+    assert rep.status == FAIL and rep.counterexample == (0,)
+    assert replay_counterexample(S, rep)
+    assert S.prod(0, S.e, 0) == 4 and S.le(4, 0) and not S.le(0, 4)
+    assert check_claim(S, "thm13-conv").reason == (
+        "hypothesis not met: sided-meets-below-star-products")
+    assert check_claim(S, "thm22-conv").status == PASS
+    assert all(r.status != FAIL for r in check_all(S))

@@ -9,23 +9,28 @@ from starsemi import (
     validate_structure, write_catalog,
 )
 from starsemi import RawStructure
-from starsemi.enumeration import _AssocSearch, _compatible_order_stream, _involutions
+from starsemi.enumeration import (
+    _AssocSearch, _canonical_mult, _centralizer, _compatible_order_stream, _involutions,
+)
 from starsemi.fileformat import load_structure
 from starsemi.structure import equality_leq, greatest_element
 
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, admits_involution, anti_automorphic,
-    brute_associative_tables, brute_canonical_form, chain2, involutive_perms,
-    naive_model_forms, oracle_bounds_tables, star_admitting_class_forms,
+    brute_associative_tables, brute_canonical_form, chain2, commuting_perms, involutive_perms,
+    lex_leader, naive_model_forms, oracle_bounds_tables, search_walk, star_admitting_class_forms,
 )
 
 # Golden counts, established by the naive generate-filter-dedupe oracle at
 # orders 1-3 (test_matches_naive_oracle below) and by the verified enumerator
 # at order 4 (and at order 5 for the star-admitting classes, where the earlier
-# generate-then-filter enumerator gave the same 405 representatives).
+# generate-then-filter enumerator gave the same 405 representatives). The
+# semigroup classes of orders 1-6 are OEIS A027851 (1, 5, 24, 188, 1915,
+# 28634); the 3,312 star-admitting classes of order 6 are the 28,634 filtered
+# by ``admits_involution``.
 LABELED_ASSOCIATIVE = {1: 1, 2: 8, 3: 113, 4: 3492}
-SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188}
-STAR_ADMITTING_CLASSES = {1: 1, 2: 3, 3: 12, 4: 64, 5: 405}
+SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
+STAR_ADMITTING_CLASSES = {1: 1, 2: 3, 3: 12, 4: 64, 5: 405, 6: 3312}
 INVOLUTION_POE_MODELS = {1: 1, 2: 4, 3: 34, 4: 482}
 
 
@@ -47,7 +52,6 @@ def test_semigroup_representative_counts():
 
 
 def test_representatives_complete_and_distinct():
-    from starsemi.enumeration import _canonical_mult
     for n in (1, 2, 3):
         reps = semigroup_representatives(n)
         assert len({_canonical_mult(m) for m in brute_associative_tables(n)}) == len(reps)
@@ -62,6 +66,37 @@ def test_star_search_visits_exactly_the_tables_the_star_respects():
             _AssocSearch(n, star).run(visited.append)
             assert len(set(visited)) == len(visited)
             assert set(visited) == {m for m in brute if anti_automorphic(m, star)}
+
+
+def _normal_form_stars(n):
+    return [tuple(x ^ 1 if x < 2 * k else x for x in range(n)) for k in range(n // 2 + 1)]
+
+
+def test_pruned_search_visits_exactly_the_lex_leaders():
+    # every run of the class search, pruned by its group, against the
+    # unpruned tables filtered by the brute-force check
+    for n in (1, 2, 3, 4):
+        for star in [None] + _normal_form_stars(n):
+            group = commuting_perms(n, star)
+            symmetries = _centralizer(star or tuple(range(n)))
+            assert symmetries == group
+            unpruned, pruned = [], []
+            _AssocSearch(n, star).run(unpruned.append)
+            _AssocSearch(n, star, symmetries=symmetries).run(pruned.append)
+            assert pruned == [m for m in unpruned if lex_leader(m, search_walk(n, star), group)]
+
+
+def test_representatives_are_the_classes_of_the_unpruned_search():
+    for n in (1, 2, 3, 4):
+        tables = []
+        _AssocSearch(n).run(tables.append)
+        want = tuple(sorted({_canonical_mult(m) for m in tables}))
+        assert semigroup_representatives(n) == want
+        tables = []
+        for star in _normal_form_stars(n):
+            _AssocSearch(n, star).run(tables.append)
+        want = tuple(sorted({_canonical_mult(m) for m in tables}))
+        assert semigroup_representatives(n, star_admitting=True) == want
 
 
 def test_star_admitting_representative_counts():
@@ -107,7 +142,6 @@ def test_right_zero_admits_no_involution():
     right_zero = ((0, 1), (0, 1))
     assert _involutions(right_zero) == []
     spec = ModelSpec(order=2, required_tiers=frozenset({INVOLUTION, POE}))
-    from starsemi.enumeration import _canonical_mult
     emitted_mults = {_canonical_mult(S.raw.mult) for S in enumerate_models(spec)}
     assert _canonical_mult(right_zero) not in emitted_mults
 
