@@ -64,10 +64,7 @@ from .structure import (
     ValidationReport,
     Violation,
     chain_leq,
-    downward_closure,
     equality_leq,
-    join,
-    meet,
     tier_closure,
     validate_structure,
 )

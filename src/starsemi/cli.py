@@ -41,14 +41,17 @@ class _Failure(Exception):
         self.code = code
 
 
-def _load(path):
+def _load_raw(path):
     try:
-        raw = load_structure(path)
+        return load_structure(path)
     except FileNotFoundError:
         raise _Failure(f"no such file: {path}", EXIT_USAGE) from None
     except (FormatError, StructureError) as exc:
         raise _Failure(str(exc), EXIT_USAGE) from None
-    return validate_structure(raw)
+
+
+def _load(path):
+    return validate_structure(_load_raw(path))
 
 
 def _parse_tiers(text: str) -> frozenset[str]:
@@ -263,12 +266,7 @@ def _cmd_search(args, out):
 
 
 def _cmd_orders(args, out):
-    try:
-        raw = load_structure(args.file)
-    except FileNotFoundError:
-        raise _Failure(f"no such file: {args.file}", EXIT_USAGE) from None
-    except (FormatError, StructureError) as exc:
-        raise _Failure(str(exc), EXIT_USAGE) from None
+    raw = _load_raw(args.file)
     count = 0
     docs = []
     labels = [raw.label(i) for i in range(raw.n)]

@@ -14,24 +14,29 @@ with the partner cell that (ab)* = b*a* determines, so tables that admit no
 involution are never built. Each run of the table search for the semigroup
 classes visits only the lex-leaders under the relabelings that commute with
 its star (all of them without a star), so it builds one table per orbit of
-that group instead of every labeled table. Isomorphism
-rejection is by a canonical representative of each table and by dedupe of its
-orders and stars under the table's automorphisms; mirror images
-(anti-isomorphisms) are deliberately NOT identified, since left and right
-notions differ everywhere in this theory.
+that group instead of every labeled table.
 
-``canonical_form`` and ``automorphisms`` are thin calls into one
-refine-and-individualize search (``_symmetry``), which yields the canonical
-labeling and the automorphism group together.
+Isomorphism rejection of the tables needs a key only where that group is
+smaller than Sym(n). The run without a star and the identity-star run (the
+commutative tables) prune under all of Sym(n), so they build exactly one table
+per class. A run with a nontrivial star skips its commutative tables, whose
+classes the identity-star run has, and keys the rest on their canonical
+encoding. The orders and stars of a table are deduped under its
+automorphisms. Mirror images (anti-isomorphisms) are deliberately NOT
+identified, since left and right notions differ everywhere in this theory.
+
+``canonical_form``, ``automorphisms`` and the class keys are thin calls into
+one refine-and-individualize search (``_symmetry``), which yields the
+canonical labeling and the automorphism group together.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
-from itertools import islice, permutations, product
+from itertools import islice, permutations
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
@@ -450,65 +455,6 @@ def associative_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     return iter(out)
 
 
-# ---------------------------------------------------------------------------
-# canonicalization helpers for the enumeration pipeline
-
-def _element_colors(n, mult, leq=None, star=None, rounds=2):
-    """Relabeling-invariant element colors, iteratively refined."""
-    indeg = [0] * n
-    for a in range(n):
-        for b in range(n):
-            indeg[mult[a][b]] += 1
-    colors = []
-    for x in range(n):
-        col = [mult[x][x] == x, indeg[x], len(set(mult[x])),
-               len({mult[a][x] for a in range(n)})]
-        if leq is not None:
-            col.append(sum(leq[x]))
-            col.append(sum(leq[a][x] for a in range(n)))
-        if star is not None:
-            col.append(star[x] == x)
-        colors.append(tuple(col))
-    for _ in range(rounds):
-        fresh = []
-        for x in range(n):
-            item = [colors[x],
-                    tuple(sorted(colors[v] for v in mult[x])),
-                    tuple(sorted(colors[mult[a][x]] for a in range(n)))]
-            if leq is not None:
-                item.append(tuple(sorted(colors[y] for y in range(n) if leq[x][y])))
-            if star is not None:
-                item.append(colors[star[x]])
-            fresh.append(tuple(item))
-        palette = sorted(set(fresh))
-        colors = [palette.index(c) for c in fresh]
-    return colors
-
-
-def _color_respecting_perms(colors):
-    """Permutations (new label -> old element) listing elements class-by-class
-    in sorted color order; the product of within-class permutations."""
-    groups: dict = {}
-    for x, c in enumerate(colors):
-        groups.setdefault(c, []).append(x)
-    blocks = [groups[c] for c in sorted(groups)]
-    for combo in product(*(permutations(b) for b in blocks)):
-        yield tuple(x for blk in combo for x in blk)
-
-
-def _canonical_mult(mult):
-    """Canonical representative of a multiplication table up to relabeling
-    (minimum over color-respecting perms; a consistent canonical choice)."""
-    n = len(mult)
-    colors = _element_colors(n, mult)
-    best = None
-    for p in _color_respecting_perms(colors):
-        cand = _apply_perm_mult(mult, p, _perm_inverse(p))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 @lru_cache(maxsize=32)
 def _involutive_perms(n):
     return tuple(p for p in permutations(range(n)) if all(p[p[x]] == x for x in range(n)))
@@ -538,8 +484,8 @@ def _preserves_order(leq, p):
 
 @lru_cache(maxsize=16)
 def semigroup_representatives(n: int, star_admitting: bool = False):
-    """Canonical representatives of the associative tables up to isomorphism,
-    optionally restricted to tables admitting an involutive anti-automorphism.
+    """One table per isomorphism class of associative n*n tables, optionally
+    restricted to the classes admitting an involutive anti-automorphism.
 
     With the restriction, the search runs once per involution in normal form,
     the transpositions (0 1)(2 3)...(2k-2 2k-1) with the other elements fixed,
@@ -552,29 +498,48 @@ def semigroup_representatives(n: int, star_admitting: bool = False):
     relabelings p with p∘s = s∘p, all of them without a star. Such a p maps a
     table that respects s to one that does too, so the set the unpruned run
     visits is closed under the group, and the least table of each orbit in
-    it, in the search's cell order, is never cut. Every class the unpruned
-    run meets is therefore still met, and ``_canonical_mult`` maps it to the
-    same representative: the result is the tuple the unpruned runs give,
-    from one table per orbit instead of one per labeled table. No separate
-    step fixes an idempotent at 0: the cell order starts at (0, 0) and every
-    finite semigroup has an idempotent, so under the identity star or no
-    star, whose groups move every element to 0, every lex-leader has
-    0 * 0 = 0. The completeness of the result is what the naive-oracle tests
-    verify.
-    """
-    reps = set()
+    it is never cut: every class the unpruned run meets is still met.
 
-    def visit(mult):
-        reps.add(_canonical_mult(mult))
+    Only the tables the pruning cannot tell apart are keyed:
+
+    - the run without a star and the identity-star run (the commutative
+      tables) prune under all of Sym(n), so each visits exactly one table
+      per class and keeps all of them;
+    - a run with k >= 1 transpositions skips its commutative tables: the
+      identity is an anti-automorphism of exactly those, so the
+      identity-star run has kept their classes;
+    - the other tables of those runs are keyed on the canonical encoding of
+      ``_symmetry``, with one set of keys across the runs, since a class can
+      admit involutions of several cycle types.
+
+    No separate step fixes an idempotent at 0: the cell order starts at
+    (0, 0) and every finite semigroup has an idempotent, so under the groups
+    that move every element to 0 every lex-leader has 0 * 0 = 0. The tables
+    are returned relabeled x -> n-1-x, sorted; the labels set how soon the
+    order search of each table reaches its first model. The naive-oracle
+    tests check the result class by class.
+    """
+    kept = []
+    seen = set()
+
+    def keep_keyed(mult):
+        if mult != tuple(zip(*mult)):  # not commutative
+            key = _symmetry(mult)[0]
+            if key not in seen:
+                seen.add(key)
+                kept.append(mult)
 
     identity = tuple(range(n))
     if star_admitting:
-        stars = [tuple(x ^ 1 if x < 2 * k else x for x in identity) for k in range(n // 2 + 1)]
+        runs = [(identity, kept.append)]
+        runs += [(tuple(x ^ 1 if x < 2 * k else x for x in identity), keep_keyed)
+                 for k in range(1, n // 2 + 1)]
     else:
-        stars = [None]
-    for star in stars:
+        runs = [(None, kept.append)]
+    for star, visit in runs:
         _AssocSearch(n, star, symmetries=_centralizer(star or identity)).run(visit)
-    return tuple(sorted(reps))
+    reverse = identity[::-1]
+    return tuple(sorted(_apply_perm_mult(mult, reverse, reverse) for mult in kept))
 
 
 def _centralizer(star):
@@ -790,15 +755,18 @@ def _finish_model(mult, leq, star, tiers, bounds):
     return model
 
 
+def _capped_stream(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
+    """The unlimited model stream of ``spec``, cut one model past its limit:
+    a model beyond ``spec.limit`` marks the stream as truncated."""
+    stream = enumerate_models(replace(spec, limit=None))
+    return stream if spec.limit is None else islice(stream, spec.limit + 1)
+
+
 def collect_models(spec: ModelSpec) -> tuple[list[OrderedAlgebra], bool]:
     """Materialize the stream; the second component is False when the limit
     truncated it (the partial-stream marker)."""
-    if spec.limit is None:
-        return list(enumerate_models(spec)), True
-    inner = ModelSpec(order=spec.order, required_tiers=spec.required_tiers,
-                      claim_filter=spec.claim_filter, limit=None)
-    models = list(islice(enumerate_models(inner), spec.limit + 1))
-    if len(models) > spec.limit:
+    models = list(_capped_stream(spec))
+    if spec.limit is not None and len(models) > spec.limit:
         return models[:spec.limit], False
     return models, True
 
@@ -847,10 +815,8 @@ def search_counterexample(spec: ModelSpec,
                          stats={cid: ClaimSweepStats(cid) for cid in ids})
     if not ids:
         return report
-    inner = ModelSpec(order=spec.order, required_tiers=spec.required_tiers,
-                      claim_filter=spec.claim_filter, limit=None)
-    for model in enumerate_models(inner):
-        if spec.limit is not None and report.models_checked == spec.limit:
+    for model in _capped_stream(spec):
+        if report.models_checked == spec.limit:
             report.complete = False  # partial-stream marker: the cap truncated
             return report
         report.models_checked += 1

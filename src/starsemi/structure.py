@@ -266,23 +266,6 @@ class OrderedAlgebra:
         return tuple(out)
 
 
-def join(S: OrderedAlgebra, a: int, b: int) -> Optional[int]:
-    """Least upper bound of a and b, or None when it does not exist."""
-    return S.join_table[a][b]
-
-
-def meet(S: OrderedAlgebra, a: int, b: int) -> Optional[int]:
-    """Greatest lower bound of a and b, or None when it does not exist."""
-    return S.meet_table[a][b]
-
-
-def downward_closure(S: OrderedAlgebra, H: Iterable[int]) -> frozenset[int]:
-    """All t with t <= h for some h in H."""
-    H = set(H)
-    leq = S.raw.leq
-    return frozenset(t for t in S.elements() if any(leq[t][h] for h in H))
-
-
 def bounds_tables(leq):
     """Partial LUB/GLB tables for an arbitrary relation matrix.
 

@@ -10,7 +10,7 @@ from starsemi import (
 )
 from starsemi import RawStructure
 from starsemi.enumeration import (
-    _AssocSearch, _canonical_mult, _centralizer, _compatible_order_stream, _involutions,
+    _AssocSearch, _centralizer, _compatible_order_stream, _involutions,
 )
 from starsemi.fileformat import load_structure
 from starsemi.structure import equality_leq, greatest_element
@@ -51,11 +51,23 @@ def test_semigroup_representative_counts():
         assert len(semigroup_representatives(n)) == want
 
 
+def _mult_class(mult):
+    # the class of a table, by the n! oracle (the equality order is the same
+    # bytes for every table, and matches ``star_admitting_class_forms``)
+    n = len(mult)
+    return brute_canonical_form(RawStructure(n=n, mult=mult, leq=equality_leq(n)))
+
+
+def _assert_one_table_per_class(tables, classes):
+    forms = [_mult_class(m) for m in tables]
+    assert len(set(forms)) == len(forms)
+    assert set(forms) == classes
+
+
 def test_representatives_complete_and_distinct():
     for n in (1, 2, 3):
-        reps = semigroup_representatives(n)
-        assert len({_canonical_mult(m) for m in brute_associative_tables(n)}) == len(reps)
-        assert all(_canonical_mult(m) == m for m in reps)
+        _assert_one_table_per_class(
+            semigroup_representatives(n), {_mult_class(m) for m in brute_associative_tables(n)})
 
 
 def test_star_search_visits_exactly_the_tables_the_star_respects():
@@ -90,13 +102,34 @@ def test_representatives_are_the_classes_of_the_unpruned_search():
     for n in (1, 2, 3, 4):
         tables = []
         _AssocSearch(n).run(tables.append)
-        want = tuple(sorted({_canonical_mult(m) for m in tables}))
-        assert semigroup_representatives(n) == want
+        _assert_one_table_per_class(
+            semigroup_representatives(n), {_mult_class(m) for m in tables})
         tables = []
         for star in _normal_form_stars(n):
             _AssocSearch(n, star).run(tables.append)
-        want = tuple(sorted({_canonical_mult(m) for m in tables}))
-        assert semigroup_representatives(n, star_admitting=True) == want
+        _assert_one_table_per_class(
+            semigroup_representatives(n, star_admitting=True), {_mult_class(m) for m in tables})
+
+
+def test_full_group_runs_visit_one_table_per_class():
+    # the two facts the class dedupe rests on: the runs pruned under all of
+    # Sym(n) need no key, and a starred run's commutative tables are classes
+    # the identity-star run already has
+    for n in (1, 2, 3, 4):
+        identity = tuple(range(n))
+        runs = {}
+        for star in [None] + _normal_form_stars(n):
+            runs[star] = []
+            _AssocSearch(n, star, symmetries=_centralizer(star or identity)).run(
+                runs[star].append)
+        for star in (None, identity):
+            forms = [_mult_class(m) for m in runs[star]]
+            assert len(set(forms)) == len(forms)
+        commutative = {_mult_class(m) for m in runs[identity]}
+        for star in _normal_form_stars(n)[1:]:
+            for m in runs[star]:
+                if m == tuple(zip(*m)):
+                    assert _mult_class(m) in commutative
 
 
 def test_star_admitting_representative_counts():
@@ -108,13 +141,11 @@ def test_star_admitting_representative_counts():
 
 def test_star_admitting_representatives_match_oracle():
     for n in (1, 2, 3):
-        eq = equality_leq(n)
-        raws = [RawStructure(n=n, mult=m, leq=eq)
-                for m in semigroup_representatives(n, star_admitting=True)]
-        assert len({canonical_form(raw) for raw in raws}) == len(raws)
-        assert {brute_canonical_form(raw) for raw in raws} == star_admitting_class_forms(n)
-    assert semigroup_representatives(4, star_admitting=True) == tuple(
-        m for m in semigroup_representatives(4) if admits_involution(m))
+        _assert_one_table_per_class(
+            semigroup_representatives(n, star_admitting=True), star_admitting_class_forms(n))
+    _assert_one_table_per_class(
+        semigroup_representatives(4, star_admitting=True),
+        {_mult_class(m) for m in semigroup_representatives(4) if admits_involution(m)})
 
 
 def test_order1_involution_le_single_model():
@@ -142,8 +173,8 @@ def test_right_zero_admits_no_involution():
     right_zero = ((0, 1), (0, 1))
     assert _involutions(right_zero) == []
     spec = ModelSpec(order=2, required_tiers=frozenset({INVOLUTION, POE}))
-    emitted_mults = {_canonical_mult(S.raw.mult) for S in enumerate_models(spec)}
-    assert _canonical_mult(right_zero) not in emitted_mults
+    emitted = {_mult_class(S.raw.mult) for S in enumerate_models(spec)}
+    assert _mult_class(right_zero) not in emitted
 
 
 def test_emitted_models_carry_the_tiers_and_bounds_of_full_validation():
@@ -278,6 +309,16 @@ def test_limit_and_partial_stream_marker():
     spec_all = ModelSpec(order=3, required_tiers=frozenset({INVOLUTION, POE}), limit=10 ** 6)
     models_all, complete_all = collect_models(spec_all)
     assert complete_all and len(models_all) == INVOLUTION_POE_MODELS[3]
+
+
+def test_collect_and_search_agree_on_the_partial_stream_marker():
+    tiers = frozenset({INVOLUTION, POE})
+    for limit, complete in ((5, False), (INVOLUTION_POE_MODELS[3], True)):
+        spec = ModelSpec(order=3, required_tiers=tiers, limit=limit)
+        models, collected_complete = collect_models(spec)
+        rep = search_counterexample(spec, ("prop07",))
+        assert collected_complete == rep.complete == complete
+        assert len(models) == rep.models_checked == limit
 
 
 def test_search_empty_claims_is_empty_report():

@@ -13,10 +13,7 @@ from starsemi import (
     RawStructure,
     StructureError,
     compatible_orders,
-    downward_closure,
     equality_leq,
-    join,
-    meet,
     semigroup_representatives,
     tier_closure,
     validate_structure,
@@ -94,20 +91,20 @@ def test_tier_closure_consistency():
 
 def test_join_meet_on_chain():
     S, _ = chain2()
-    assert join(S, 0, 1) == 1
-    assert meet(S, 0, 1) == 0
+    assert S.join(0, 1) == 1
+    assert S.meet(0, 1) == 0
 
 
 def test_join_meet_on_diamond():
     S, _ = diamond_constant()
-    assert join(S, 1, 2) == 3
-    assert meet(S, 1, 2) == 0
+    assert S.join(1, 2) == 3
+    assert S.meet(1, 2) == 0
 
 
 def test_join_undefined_on_antichain():
     S, _ = mk(((0, 0), (0, 0)))  # equality order, constant multiplication
-    assert join(S, 0, 1) is None
-    assert meet(S, 0, 1) is None
+    assert S.join(0, 1) is None
+    assert S.meet(0, 1) is None
 
 
 def test_associativity_violation_witnessed():
@@ -146,29 +143,6 @@ def test_join_meet_tables_match_definition(seed):
         for b in S.elements():
             assert S.join(a, b) == scan_join(S, a, b)
             assert S.meet(a, b) == scan_meet(S, a, b)
-
-
-def test_downward_closure_examples():
-    S, _ = chain2()
-    assert downward_closure(S, {1}) == {0, 1}
-    assert downward_closure(S, set()) == frozenset()
-    D, _ = diamond_constant()
-    assert downward_closure(D, {1}) == {0, 1}
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10 ** 9), st.data())
-def test_downward_closure_is_a_closure_operator(seed, data):
-    S = random_model(random.Random(seed), 8)
-    universe = list(S.elements())
-    H = data.draw(st.sets(st.sampled_from(universe)))
-    G = data.draw(st.sets(st.sampled_from(universe)))
-    cl = downward_closure(S, H)
-    assert H <= cl                                        # extensive
-    assert downward_closure(S, cl) == cl                  # idempotent
-    if H <= G:
-        assert cl <= downward_closure(S, G)               # monotone
-    assert all(y in cl for t in cl for y in S.elements() if S.le(y, t))  # downward closed
 
 
 @settings(deadline=None, max_examples=25)
