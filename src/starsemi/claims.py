@@ -3,11 +3,16 @@
 Every claim has a hypothesis gate (required axiom tiers plus an optional
 structure-level condition) and a body whose quantifiers run exhaustively over
 the elements. Guarded instantiations (an element failing an antecedent, a
-meet that does not exist) are skipped as vacuous and not counted. A claim
-never re-uses the characterization it asserts: bodies go through the
-definitional operations of the ideals/regularity/filters modules, shared per
-structure by ``StructureAnalysis``, and evaluate products, stars, bounds and
-the order by reading the structure's tables directly.
+meet that does not exist) are skipped as vacuous and not counted. A condition
+is a conjunction of claim bodies, since the paper's hypotheses are statements
+that other claims conclude; it holds when none of its bodies has a failing
+instance. ``StructureAnalysis.outcome`` runs each body at most once per
+structure, so a body that is both a hypothesis and a claim (or two claim ids
+sharing one body) costs one evaluation. A claim never re-uses the
+characterization it asserts: bodies go through the definitional operations of
+the ideals/regularity/filters modules, shared per structure by
+``StructureAnalysis``, and evaluate products, stars, bounds and the order by
+reading the structure's tables directly.
 
 Claim ids are stable. Theorems stated as equivalences are split into -fwd
 and -conv entries because the two directions carry different hypotheses;
@@ -62,12 +67,31 @@ class StructureAnalysis:
     """The structure facts that the claim checks on one structure share, each
     computed once, on first use: the element classification, the regularity
     profile, the generated filter of every element, the filter-class
-    partition built from those filters (no second saturation), and the star
-    window {y | x <= e y* e} of every element. Each equals what the public
-    function of its module returns for the same structure."""
+    partition built from those filters (no second saturation), the star
+    window {y | x <= e y* e} of every element, each equal to what the public
+    function of its module returns for the same structure; and, through
+    ``outcome``, the outcome of every claim body that a verdict or a
+    hypothesis has asked for."""
 
     def __init__(self, S: OrderedAlgebra):
         self.S = S
+        self._outcomes = {}
+
+    def outcome(self, body) -> tuple[int, Optional[tuple[int, ...]]]:
+        """(instances, first failing binding or None) of a claim body on S,
+        counting every instance. The body runs once; later calls read the
+        kept outcome."""
+        out = self._outcomes.get(body)
+        if out is None:
+            instances, witness, it = 0, None, body(self)
+            for binding, ok in it:
+                instances += 1
+                if not ok:
+                    instances += sum(1 for _ in it)
+                    witness = tuple(binding)
+                    break
+            out = self._outcomes[body] = (instances, witness)
+        return out
 
     @cached_property
     def classes(self):
@@ -88,82 +112,6 @@ class StructureAnalysis:
     @cached_property
     def windows(self):
         return tuple(thm26_set(self.S, x) for x in self.S.elements())
-
-
-# ---------------------------------------------------------------------------
-# structure-level hypothesis conditions
-
-def _cond_star_regular(ctx):
-    return ctx.profile.star_regular is True
-
-
-def _cond_regular(ctx):
-    return ctx.profile.regular
-
-
-def _cond_star_intra_regular(ctx):
-    return ctx.profile.star_intra_regular is True
-
-
-def _cond_star_square_membership(ctx):
-    S = ctx.S
-    mult, star = S.mult, S.star
-    return all(in_ideal_generated(S, x, mult[star[x]][star[x]]) for x in S.elements())
-
-
-def _cond_square_membership(ctx):
-    S = ctx.S
-    return all(in_ideal_generated(S, x, S.mult[x][x]) for x in S.elements())
-
-
-def _cond_ideals_star_semiprime(ctx):
-    return all(c.star_semiprime is True for c in ctx.classes if c.two_sided_ideal)
-
-
-def _holds(body, ctx) -> bool:
-    """Every instance of a claim body holds on the structure."""
-    return all(ok for _, ok in body(ctx))
-
-
-def _cond_meets_below_reversed_star_products(ctx):
-    return _holds(_star_product_bound(both=True, reverse=True), ctx)
-
-
-def _cond_meets_below_star_products(ctx):
-    return _holds(_star_product_bound(both=True, reverse=False), ctx)
-
-
-def _cond_generated_ideals_dominate_star(ctx):
-    return _holds(_body_prop14, ctx)
-
-
-def _cond_sided_ideals_idempotent_products_quasi(ctx):
-    return _holds(_body_prop17_idem, ctx) and _holds(_body_prop16, ctx)
-
-
-def _cond_prop18_conjunction(ctx):
-    return (_cond_generated_ideals_dominate_star(ctx)
-            and _cond_sided_ideals_idempotent_products_quasi(ctx))
-
-
-def _cond_filters_equal_star_window(ctx):
-    return ctx.filter_members == ctx.windows
-
-
-CONDITIONS: dict[str, Callable[[StructureAnalysis], bool]] = {
-    "star-regular": _cond_star_regular,
-    "regular": _cond_regular,
-    "star-intra-regular": _cond_star_intra_regular,
-    "star-squares-generate": _cond_star_square_membership,
-    "squares-generate": _cond_square_membership,
-    "ideal-elements-star-semiprime": _cond_ideals_star_semiprime,
-    "sided-meets-below-reversed-star-products": _cond_meets_below_reversed_star_products,
-    "sided-meets-below-star-products": _cond_meets_below_star_products,
-    "generated-ideals-dominate-star": _cond_generated_ideals_dominate_star,
-    "sided-ideals-idempotent-and-products-quasi": _cond_sided_ideals_idempotent_products_quasi,
-    "prop18-conditions": _cond_prop18_conjunction,
-    "filters-equal-star-window": _cond_filters_equal_star_window,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +256,32 @@ def _body_ideals_semiprime(ctx):
 _body_thm13_fwd = _star_product_bound(both=False, reverse=False)
 
 
-def _regularity_body(starred: bool, intra: bool) -> Body:
-    """Body asserting a <= a e a, or a <= e a a e (``intra``), for every a,
-    with a* in place of a on the right when ``starred``."""
+def _regularity_body(kind: str) -> Body:
+    """Body asserting the ``kind`` regularity inequality at every a, read
+    from the failure list of ``regularity_profile``, where it is written."""
     def body(ctx):
-        S = ctx.S
-        e, mult, leq, star = S.e, S.mult, S.leq, S.star
-        row_e = mult[e]
-        for a in S.elements():
-            x = star[a] if starred else a
-            bound = mult[mult[row_e[x]][x]][e] if intra else mult[mult[x][e]][x]
-            yield (a,), leq[a][bound]
+        failures = getattr(ctx.profile, kind + "_failures")
+        for a in ctx.S.elements():
+            yield (a,), a not in failures
     return body
 
 
-_body_regular = _regularity_body(starred=False, intra=False)
-_body_intra_regular = _regularity_body(starred=False, intra=True)
-_body_star_regular = _regularity_body(starred=True, intra=False)
-_body_star_intra_regular = _regularity_body(starred=True, intra=True)
+_body_regular = _regularity_body("regular")
+_body_intra_regular = _regularity_body("intra_regular")
+_body_star_regular = _regularity_body("star_regular")
+_body_star_intra_regular = _regularity_body("star_intra_regular")
+
+
+def _squares_generate_body(starred: bool) -> Body:
+    """Body asserting that every x lies in the ideal generated by x x
+    (by x*x* when ``starred``)."""
+    def body(ctx):
+        S = ctx.S
+        mult, star = S.mult, S.star
+        for x in S.elements():
+            y = star[x] if starred else x
+            yield (x,), in_ideal_generated(S, x, mult[y][y])
+    return body
 
 
 def _body_prop14(ctx):
@@ -337,11 +293,18 @@ def _body_prop14(ctx):
         yield (a,), ok
 
 
-def _body_prop15(ctx):
-    star = ctx.S.star
-    for c in ctx.classes:
-        if c.left_ideal or c.right_ideal or c.bi_ideal:
-            yield (c.element,), star[c.element] == c.element
+def _prop15_body(guarded: bool) -> Body:
+    """Body asserting a = a* for every left, right or bi-ideal element a
+    (every a unless ``guarded``)."""
+    def body(ctx):
+        star = ctx.S.star
+        for c in ctx.classes:
+            if not guarded or c.left_ideal or c.right_ideal or c.bi_ideal:
+                yield (c.element,), star[c.element] == c.element
+    return body
+
+
+_body_prop15 = _prop15_body(guarded=True)
 
 
 def _body_prop16(ctx):
@@ -366,15 +329,23 @@ def _body_prop16_eq(ctx):
                 yield (a, b), S.meet_table[a][b] == S.mult[a][b]
 
 
-def _body_prop17_idem(ctx):
-    for c in ctx.classes:
-        if c.right_ideal or c.left_ideal:
-            yield (c.element,), c.idempotent
+def _prop17_idem_body(guarded: bool) -> Body:
+    """Body asserting that every right or left ideal element is idempotent
+    (every element unless ``guarded``)."""
+    def body(ctx):
+        for c in ctx.classes:
+            if not guarded or c.right_ideal or c.left_ideal:
+                yield (c.element,), c.idempotent
+    return body
+
+
+_body_prop17_idem = _prop17_idem_body(guarded=True)
 
 
 def _body_thm19(ctx):
-    lhs = ctx.profile.star_regular is True
-    yield (), lhs == _cond_prop18_conjunction(ctx)
+    star_regular = ctx.outcome(_body_star_regular)[1] is None
+    yield (), star_regular == all(ctx.outcome(body)[1] is None
+                                  for body in CONDITIONS["prop18-conditions"])
 
 
 def _body_thm20(ctx):
@@ -442,23 +413,34 @@ def _body_prop27(ctx):
 
 _body_mut_prop23_nostar = _prop23_body(starred=False)
 _body_mut_thm13_swapped = _star_product_bound(both=False, reverse=True)
-
-
-def _body_mut_prop15_all(ctx):
-    S = ctx.S
-    for a in S.elements():
-        yield (a,), S.star[a] == a
+_body_mut_prop15_all = _prop15_body(guarded=False)
+_body_mut_prop17_all_idem = _prop17_idem_body(guarded=False)
 
 
 def _body_mut_prop07_noswap(ctx):
+    # one conjunct of prop07's conclusion, not prop07 with a flag changed
     star = ctx.S.star
     for c in ctx.classes:
         yield (c.element,), c.left_ideal == ctx.classes[star[c.element]].left_ideal
 
 
-def _body_mut_prop17_all_idem(ctx):
-    for c in ctx.classes:
-        yield (c.element,), c.idempotent
+# ---------------------------------------------------------------------------
+# structure-level hypotheses: each a conjunction of claim bodies
+
+CONDITIONS: dict[str, tuple[Body, ...]] = {
+    "star-regular": (_body_star_regular,),
+    "regular": (_body_regular,),
+    "star-intra-regular": (_body_star_intra_regular,),
+    "star-squares-generate": (_squares_generate_body(starred=True),),
+    "squares-generate": (_squares_generate_body(starred=False),),
+    "ideal-elements-star-semiprime": (_body_ideals_star_semiprime,),
+    "sided-meets-below-reversed-star-products": (_body_thm22_fwd,),
+    "sided-meets-below-star-products": (_star_product_bound(both=True, reverse=False),),
+    "generated-ideals-dominate-star": (_body_prop14,),
+    "sided-ideals-idempotent-and-products-quasi": (_body_prop17_idem, _body_prop16),
+    "prop18-conditions": (_body_prop14, _body_prop17_idem, _body_prop16),
+    "filters-equal-star-window": (_body_thm26_fwd,),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -690,26 +672,27 @@ def expand_claim_ids(tokens) -> tuple[str, ...]:
 
 def check_claim(S: OrderedAlgebra, claim_id: str,
                 analysis: Optional[StructureAnalysis] = None) -> ClaimReport:
-    """Evaluate one claim: hypothesis first (tiers, then the structure-level
-    condition), then the body quantifiers, exhaustively."""
+    """Evaluate one claim: hypothesis first (tiers, then each body of the
+    structure-level condition), then the body quantifiers, exhaustively. An
+    ``analysis`` must have been built for S itself."""
     d = _lookup(claim_id)
     claim = d.claim
+    ctx = analysis if analysis is not None else StructureAnalysis(S)
+    if ctx.S is not S:
+        raise ValueError("the analysis was built for a different structure")
     if not claim.requires_tiers <= S.tiers:
         missing = [t for t in ALL_TIERS if t in claim.requires_tiers and t not in S.tiers]
         return _settled(claim_id, NOT_APPLICABLE, "missing tier(s): " + ", ".join(missing), 0)
-    ctx = analysis if analysis is not None else StructureAnalysis(S)
-    if claim.condition is not None and not CONDITIONS[claim.condition](ctx):
-        return _settled(claim_id, NOT_APPLICABLE, f"hypothesis not met: {claim.condition}", 0)
-    instances = 0
-    body = d.body(ctx)
-    for binding, ok in body:
-        instances += 1
-        if not ok:
-            instances += sum(1 for _ in body)
-            return ClaimReport(claim_id=claim.id, status=FAIL,
-                               counterexample=tuple(binding), variables=claim.variables,
-                               instances_checked=instances)
-    return _settled(claim_id, PASS, "", instances)
+    if claim.condition is not None:
+        for body in CONDITIONS[claim.condition]:
+            if ctx.outcome(body)[1] is not None:
+                return _settled(claim_id, NOT_APPLICABLE,
+                                f"hypothesis not met: {claim.condition}", 0)
+    instances, witness = ctx.outcome(d.body)
+    if witness is None:
+        return _settled(claim_id, PASS, "", instances)
+    return ClaimReport(claim_id=claim.id, status=FAIL, counterexample=witness,
+                       variables=claim.variables, instances_checked=instances)
 
 
 @lru_cache(maxsize=4096)

@@ -45,8 +45,8 @@ from .claims import (
 )
 from .fileformat import serialize_structure
 from .structure import (
-    INVOLUTION, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, RawStructure, VEE, WEDGE,
-    _accepted_structure, bounds_tables, tier_closure,
+    BITS, INVOLUTION, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, RawStructure, VEE, WEDGE,
+    _accepted_structure, _check_vee, bounds_tables, tier_closure,
 )
 
 EXHAUSTIVE_MAX_ORDER = 6
@@ -581,21 +581,20 @@ def _implied_pairs(mult, star):
     return out
 
 
-def _propagate(up, down, no, implied, bits, a, b):
+def _propagate(up, down, no, implied, a, b):
     """Force a <= b plus all consequences into the bitmask state, in place;
     False on conflict with decisions.
 
     ``up[x]`` holds every y with x <= y decided true, ``down[y]`` every x with
     x <= y, and ``no[x]`` every y with x <= y decided false, which includes the
-    reverse of every decided strict pair (antisymmetry). ``bits[mask]``
-    lists the elements of a mask."""
+    reverse of every decided strict pair (antisymmetry)."""
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
         if up[x] >> y & 1:
             continue
         above = up[y]
-        for p in bits[down[x]]:  # transitivity: everything <= x falls below everything >= y
+        for p in BITS[down[x]]:  # transitivity: everything <= x falls below everything >= y
             new = above & ~up[p]
             if not new:
                 continue
@@ -603,7 +602,7 @@ def _propagate(up, down, no, implied, bits, a, b):
                 return False
             up[p] |= new
             bit = 1 << p
-            for q in bits[new]:
+            for q in BITS[new]:
                 down[q] |= bit
                 no[q] |= bit
                 for u, v in implied[p][q]:
@@ -625,7 +624,6 @@ def _compatible_order_stream(mult, star=None, require_greatest=False):
     implied = _implied_pairs(mult, star)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     full = (1 << n) - 1
-    bits = _Memo(lambda mask: tuple(i for i in range(n) if mask >> i & 1))
     rows = _Memo(lambda mask: tuple(bool(mask >> j & 1) for j in range(n)))
     singletons = [1 << i for i in range(n)]
     stack = [(0, singletons, singletons[:], [0] * n)]
@@ -642,26 +640,11 @@ def _compatible_order_stream(mult, star=None, require_greatest=False):
             continue
         # pushed first, explored second: i <= j with its consequences
         up2, down2, no2 = up[:], down[:], no[:]
-        if _propagate(up2, down2, no2, implied, bits, i, j):
+        if _propagate(up2, down2, no2, implied, i, j):
             stack.append((k + 1, up2, down2, no2))
         no1 = no[:]
         no1[i] |= 1 << j
         stack.append((k + 1, up, down, no1))
-
-
-def _join_laws_hold(mult, leq, join_t):
-    n = len(mult)
-    for a in range(n):
-        for b in range(n):
-            ab = join_t[a][b]
-            if ab is None:
-                return False
-            for c in range(n):
-                if join_t[mult[a][c]][mult[b][c]] != mult[ab][c]:
-                    return False
-                if join_t[mult[c][a]][mult[c][b]] != mult[c][ab]:
-                    return False
-    return True
 
 
 def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_joins,
@@ -680,7 +663,7 @@ def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_j
                 continue
             if require_meets and any(v is None for row in meet_t for v in row):
                 continue
-            if require_join_distributivity and not _join_laws_hold(mult, leq, join_t):
+            if require_join_distributivity and next(_check_vee(mult, join_t), None) is not None:
                 continue
         yield leq, bounds
 

@@ -178,9 +178,6 @@ class ValidationReport:
     accepted: frozenset[str]
     violations: tuple[Violation, ...]
 
-    def ok(self, tier: str) -> bool:
-        return tier in self.accepted
-
     def violations_for(self, tier: str) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.tier == tier)
 
@@ -232,11 +229,6 @@ class OrderedAlgebra:
         for y in rest:
             x = self.raw.mult[x][y]
         return x
-
-    def conj(self, a: int) -> int:
-        if self.raw.star is None:
-            raise ValueError("structure has no unary involution operation")
-        return self.raw.star[a]
 
     def join(self, a: int, b: int) -> Optional[int]:
         return self.join_table[a][b]
@@ -352,8 +344,8 @@ def _check_poe(raw: RawStructure, e):
         yield Violation(POE, "greatest-element", witness, "no greatest element exists")
 
 
-def _check_vee(raw: RawStructure, join_t):
-    n, mult = raw.n, raw.mult
+def _check_vee(mult, join_t):
+    n = len(mult)
     if any(None in row for row in join_t):
         for a in range(n):
             for b in range(n):
@@ -412,7 +404,7 @@ def _tier_checks(raw: RawStructure, e, join_t, meet_t):
     is the greatest element of ``raw.leq`` or None."""
     up, down = _masks(raw.leq), _masks(tuple(zip(*raw.leq)))
     return (_check_po_groupoid(raw, up, down), _check_associativity(raw), _check_poe(raw, e),
-            _check_vee(raw, join_t), _check_wedge(raw, meet_t), _check_involution(raw, up))
+            _check_vee(raw.mult, join_t), _check_wedge(raw, meet_t), _check_involution(raw, up))
 
 
 @lru_cache(maxsize=128)  # one entry per set of failed tiers

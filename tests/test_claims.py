@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,8 +6,9 @@ import pytest
 from starsemi import (
     ALL_TIERS, INVOLUTION, LE, POE, ModelSpec,
     StructureAnalysis, check_all, check_claim, expand_claim_ids,
-    get_claim, list_claims, list_mutants, regularity_profile, replay_counterexample,
-    report_record, search_counterexample, validate_structure,
+    filter_oracle, get_claim, in_ideal_generated, list_claims, list_mutants,
+    regularity_profile, replay_counterexample, report_record, search_counterexample,
+    thm26_set, validate_structure,
 )
 from starsemi.claims import CONDITIONS, FAIL, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP
 from starsemi.fileformat import load_structure
@@ -14,6 +16,11 @@ from starsemi.fileformat import load_structure
 from conftest import STRUCTURES
 
 from support import chain2, example2, mk, one_point, oracle_classify, scan_meet
+
+
+def condition_holds(ctx, name):
+    """A hypothesis holds when no body of its conjunction has a failing binding."""
+    return all(ctx.outcome(body)[1] is None for body in CONDITIONS[name])
 
 
 def test_registry_size_and_stability():
@@ -219,7 +226,7 @@ def test_sided_pair_claims_run_over_their_pairs(catalog_upto_4):
                               ("sided-meets-below-reversed-star-products", True)):
             want = all(S.le(meets[a, b], mult[star[b]][star[a]] if reverse
                             else mult[star[a]][star[b]]) for a, b in both)
-            assert CONDITIONS[name](ctx) == want
+            assert condition_holds(ctx, name) == want
     assert applicable == {"thm13-fwd", "mut-thm13-swapped", "thm22-fwd"}
 
 
@@ -240,3 +247,69 @@ def test_swapped_thm13_converse_fails_on_the_order5_fixture():
         "hypothesis not met: sided-meets-below-star-products")
     assert check_claim(S, "thm22-conv").status == PASS
     assert all(r.status != FAIL for r in check_all(S))
+
+
+def test_conditions_match_their_definitions(catalog_upto_4):
+    for S in catalog_upto_4:
+        ctx = StructureAnalysis(S)
+        profile = regularity_profile(S)
+        flags = oracle_classify(S)
+        mult, star = S.mult, S.star
+        want = {
+            "star-regular": profile.star_regular,
+            "regular": profile.regular,
+            "star-intra-regular": profile.star_intra_regular,
+            "ideal-elements-star-semiprime": all(
+                f["star_semiprime"] for f in flags if f["two_sided_ideal"]),
+            "squares-generate": all(
+                in_ideal_generated(S, x, mult[x][x]) for x in S.elements()),
+            "star-squares-generate": all(
+                in_ideal_generated(S, x, mult[star[x]][star[x]]) for x in S.elements()),
+            "filters-equal-star-window": all(
+                filter_oracle(S, x) == thm26_set(S, x) for x in S.elements()),
+        }
+        for name, value in want.items():
+            assert condition_holds(ctx, name) == value, (name, S.raw)
+
+
+def test_prop17_and_prop25_reg_report_alike(catalog_upto_4):
+    for S in catalog_upto_4:
+        ctx = StructureAnalysis(S)
+        rep17 = check_claim(S, "prop17", ctx)
+        assert check_claim(S, "prop25-reg", ctx) == dataclasses.replace(
+            rep17, claim_id="prop25-reg")
+        assert check_claim(S, "prop25-reg") == check_claim(S, "prop25-reg", ctx)
+
+
+def test_outcome_runs_each_body_once():
+    S, _ = chain2()
+    runs = []
+
+    def body(ctx):
+        runs.append(ctx.S)
+        yield (0,), True
+        yield (1,), False
+        yield (0,), False
+
+    ctx = StructureAnalysis(S)
+    assert ctx.outcome(body) == (3, (1,))
+    assert ctx.outcome(body) == (3, (1,))
+    assert runs == [S]
+    assert StructureAnalysis(S).outcome(body) == (3, (1,))
+    assert runs == [S, S]
+
+
+def test_analysis_of_another_structure_is_rejected():
+    S, _ = chain2()
+    T, _ = one_point()
+    ctx = StructureAnalysis(T)
+    with pytest.raises(ValueError):
+        check_claim(S, "prop05", ctx)
+    with pytest.raises(ValueError):
+        check_claim(S, "thm13-conv", ctx)  # even where a tier is missing
+    with pytest.raises(ValueError):
+        check_all(S, ctx)
+    same_tables, _ = chain2()  # equal tables, another structure object
+    with pytest.raises(ValueError):
+        check_claim(same_tables, "prop05", StructureAnalysis(S))
+    assert check_claim(T, "prop05", ctx).status == PASS
