@@ -2,13 +2,15 @@
 compatible-order search and claim-counterexample sweeps.
 
 Search order is cheapest-fail-first: associative multiplication tables are
-generated by backtracking with incremental associativity pruning, then the
-compatible order relations are grown pairwise with constraint propagation on
-per-element bitmasks, then the involutions are filtered. When a greatest
-element is required, the order search cuts every branch in which each element
-already has some element decided not below it, since no completion of such a
-branch has a top. When an involution is required, the table
-search is star-first: it runs once per involution in normal form,
+generated by backtracking with incremental associativity pruning, then, when
+an involution is required, each table's stars are picked, then the compatible
+order relations of each (table, star) pair are grown pairwise with constraint
+propagation on per-element bitmasks. The propagation forces a* <= b* along
+with a <= b, so every order it yields is preserved by the star. When a
+greatest element is required, the order search cuts every branch in which each
+element already has some element decided not below it, since no completion of
+such a branch has a top. When an involution is required, the table search is
+star-first: it runs once per involution in normal form,
 (0 1)(2 3)... with the remaining elements fixed, and fills each cell together
 with the partner cell that (ab)* = b*a* determines, so tables that admit no
 involution are never built. Each run of the table search for the semigroup
@@ -21,8 +23,11 @@ smaller than Sym(n). The run without a star and the identity-star run (the
 commutative tables) prune under all of Sym(n), so they build exactly one table
 per class. A run with a nontrivial star skips its commutative tables, whose
 classes the identity-star run has, and keys the rest on their canonical
-encoding. The orders and stars of a table are deduped under its
-automorphisms. Mirror images (anti-isomorphisms) are deliberately NOT
+encoding. The stars of a table are taken one per conjugacy class of its
+automorphism group, and the orders of each (table, star) pair one per orbit of
+the stabilizer of its star: representatives of the first choice, then of the
+second up to the first one's stabilizer (McKay, "Isomorph-free exhaustive
+generation", 1998). Mirror images (anti-isomorphisms) are deliberately NOT
 identified, since left and right notions differ everywhere in this theory.
 
 ``canonical_form``, ``automorphisms`` and the class keys are thin calls into
@@ -36,7 +41,7 @@ import hashlib
 import os
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, reduce
-from itertools import islice, permutations
+from itertools import permutations
 from operator import or_
 from typing import Iterable, Iterator, Optional
 
@@ -61,7 +66,6 @@ class ModelSpec:
 
     order: int
     required_tiers: frozenset[str] = frozenset()
-    claim_filter: tuple[str, ...] = ()
     limit: Optional[int] = None
 
     def __post_init__(self):
@@ -69,7 +73,6 @@ class ModelSpec:
             raise ValueError("order must be >= 1")
         tiers = tier_closure(self.required_tiers) | {PO_GROUPOID, PO_SEMIGROUP}
         object.__setattr__(self, "required_tiers", frozenset(tiers))
-        object.__setattr__(self, "claim_filter", tuple(self.claim_filter))
 
 
 @dataclass(frozen=True, order=True)
@@ -477,11 +480,6 @@ def _involutions(mult):
     return [p for p in _involutive_perms(len(mult)) if _anti_automorphic(mult, p)]
 
 
-def _preserves_order(leq, p):
-    n = len(leq)
-    return all(leq[p[a]][p[b]] for a in range(n) for b in range(n) if leq[a][b])
-
-
 @lru_cache(maxsize=16)
 def semigroup_representatives(n: int, star_admitting: bool = False):
     """One table per isomorphism class of associative n*n tables, optionally
@@ -542,11 +540,12 @@ def semigroup_representatives(n: int, star_admitting: bool = False):
     return tuple(sorted(_apply_perm_mult(mult, reverse, reverse) for mult in kept))
 
 
-def _centralizer(star):
-    """The relabelings other than the identity that commute with ``star``:
-    they map the tables respecting ``star`` onto tables respecting it."""
+def _centralizer(star, perms=None):
+    """The relabelings other than the identity that commute with ``star``,
+    among ``perms`` (all of them by default): they map the tables respecting
+    ``star`` onto tables respecting it."""
     n = len(star)
-    return [p for p in permutations(range(n))
+    return [p for p in (permutations(range(n)) if perms is None else perms)
             if all(p[star[x]] == star[p[x]] for x in range(n)) and p != tuple(range(n))]
 
 
@@ -708,20 +707,20 @@ def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
     want_star = INVOLUTION in tiers
     emitted = 0
     for mult in semigroup_representatives(n, star_admitting=want_star):
-        nontrivial = _nontrivial(automorphisms(mult))
-        table_stars = _involutions(mult) if want_star else ()
-        orders = _filtered_orders(
-            mult, None, nontrivial, require_greatest=POE in tiers, require_joins=VEE in tiers,
-            require_meets=WEDGE in tiers, require_join_distributivity=VEE in tiers)
-        for leq, bounds in orders:
-            if want_star:
-                stab = [p for p in nontrivial if _apply_perm_leq(leq, p) == leq]
-                stars = [star for star in table_stars if _preserves_order(leq, star)
-                         and not any(_apply_perm_star(star, p, _perm_inverse(p)) < star
-                                     for p in stab)]
-            else:
-                stars = [None]
-            for star in stars:
+        auts = _nontrivial(automorphisms(mult))
+        if want_star:
+            # the least star of each conjugacy class under the automorphisms,
+            # each with its stabilizer, the automorphisms of (mult, star)
+            pairs = [(star, _centralizer(star, auts)) for star in _involutions(mult)
+                     if not any(_apply_perm_star(star, p, _perm_inverse(p)) < star
+                                for p in auts)]
+        else:
+            pairs = [(None, auts)]
+        for star, stab in pairs:
+            for leq, bounds in _filtered_orders(
+                    mult, star, stab, require_greatest=POE in tiers,
+                    require_joins=VEE in tiers, require_meets=WEDGE in tiers,
+                    require_join_distributivity=VEE in tiers):
                 yield _finish_model(mult, leq, star, tiers, bounds)
                 emitted += 1
                 if spec.limit is not None and emitted >= spec.limit:
@@ -739,10 +738,11 @@ def _finish_model(mult, leq, star, tiers, bounds):
 
 
 def _capped_stream(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
-    """The unlimited model stream of ``spec``, cut one model past its limit:
-    a model beyond ``spec.limit`` marks the stream as truncated."""
-    stream = enumerate_models(replace(spec, limit=None))
-    return stream if spec.limit is None else islice(stream, spec.limit + 1)
+    """The model stream of ``spec``, cut one model past its limit: a model
+    beyond ``spec.limit`` marks the stream as truncated."""
+    if spec.limit is not None:
+        spec = replace(spec, limit=spec.limit + 1)
+    return enumerate_models(spec)
 
 
 def collect_models(spec: ModelSpec) -> tuple[list[OrderedAlgebra], bool]:
@@ -788,12 +788,11 @@ class SweepReport:
                      if self.stats[cid].nonvacuous_instances == 0)
 
 
-def search_counterexample(spec: ModelSpec,
-                          claim_ids: Optional[Iterable[str]] = None) -> SweepReport:
+def search_counterexample(spec: ModelSpec, claim_ids: Iterable[str]) -> SweepReport:
     """Sweep the model stream, stopping at the first model where any listed
-    claim fails; otherwise summarize per-claim totals. When ``claim_ids`` is
-    None, the spec's claim_filter is used (empty filter = empty report)."""
-    ids = expand_claim_ids(spec.claim_filter if claim_ids is None else claim_ids)
+    claim fails; otherwise summarize per-claim totals. No ids give an empty
+    report."""
+    ids = expand_claim_ids(claim_ids)
     report = SweepReport(spec=spec, claim_ids=ids, models_checked=0, complete=True,
                          stats={cid: ClaimSweepStats(cid) for cid in ids})
     if not ids:

@@ -21,12 +21,10 @@ ORACLE_MAX_ORDER = 12
 
 @dataclass(frozen=True)
 class FilterSet:
-    """Least filter containing ``generator``; ``rounds`` is the number of
-    saturation passes used, including the final no-change pass."""
+    """Least filter containing ``generator``."""
 
     generator: int
     members: frozenset[int]
-    rounds: int
 
 
 @dataclass(frozen=True)
@@ -48,15 +46,12 @@ class NClassPartition:
 def filter_generated(S: OrderedAlgebra, x: int) -> FilterSet:
     """Saturate {x} under product, upward and divisor-extraction closure.
 
-    Each pass adds the products of the members, then the up-sets of the
-    result, then sweeps the table row by row, adding a and b whenever ab is in
-    the set as it stands at that cell; the members and the pass count are
-    those of that sweep, computed on the bitmasks of ``S``."""
+    Each pass adds the products of the members, then the up-set and the
+    divisors of each element of the result, on the bitmasks of ``S``, until
+    a pass adds nothing."""
     mult, up, div = S.mult, S.up_masks, S.divisor_masks
     members = 1 << x
-    rounds = 0
     while True:
-        rounds += 1
         new = members
         elems = BITS[members]
         for a in elems:
@@ -64,39 +59,11 @@ def filter_generated(S: OrderedAlgebra, x: int) -> FilterSet:
             for b in elems:
                 new |= 1 << row[b]
         for a in BITS[new]:
-            new |= up[a]
-        new = _divisor_pass(mult, div, new)
+            new |= up[a] | div[a]
         if new == members:
             break
         members = new
-    return FilterSet(generator=x, members=frozenset(BITS[members]), rounds=rounds)
-
-
-def _divisor_pass(mult, div, cur: int) -> int:
-    """The set after one row-major sweep over the cells (a, b) that adds a and
-    b whenever ab is in the set as it stands at that cell.
-
-    The sweep adds at least ``grown``, the divisors of the starting set, and
-    at most the closure of the starting set under divisors. So when ``grown``
-    has no divisor outside itself, the sweep gives exactly ``grown``; only
-    otherwise is the sweep run cell by cell."""
-    grown = cur
-    for v in BITS[cur]:
-        grown |= div[v]
-    if grown == cur:
-        return cur
-    closed = grown
-    for v in BITS[grown & ~cur]:
-        closed |= div[v]
-    if closed == grown:
-        return grown
-    n = len(mult)
-    for a in range(n):
-        row = mult[a]
-        for b in range(n):
-            if cur >> row[b] & 1:
-                cur |= 1 << a | 1 << b
-    return cur
+    return FilterSet(generator=x, members=frozenset(BITS[members]))
 
 
 def is_filter(S: OrderedAlgebra, members: frozenset[int]) -> bool:

@@ -244,16 +244,14 @@ def naive_model_forms(n, require_involution=True, require_greatest=True):
 
 
 def oracle_filter_saturation(S, x):
-    """(members, passes) of the filter generated by x, by the set-based
+    """The members of the filter generated by x, by the set-based
     saturation: each pass adds the products of the members, then the up-sets
     of the result, then sweeps the table row by row, adding a and b whenever
-    ab is in the set as it stands at that cell; the last pass changes
-    nothing. Reads only the raw tables."""
+    ab is in the set as it stands at that cell, until a pass changes nothing.
+    Reads only the raw tables."""
     n, mult, leq = S.raw.n, S.raw.mult, S.raw.leq
     members = {x}
-    rounds = 0
     while True:
-        rounds += 1
         new = set(members)
         for a in members:
             for b in members:
@@ -266,7 +264,7 @@ def oracle_filter_saturation(S, x):
                     new.add(a)
                     new.add(b)
         if new == members:
-            return frozenset(members), rounds
+            return frozenset(members)
         members = new
 
 

@@ -32,6 +32,14 @@ LABELED_ASSOCIATIVE = {1: 1, 2: 8, 3: 113, 4: 3492}
 SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
 STAR_ADMITTING_CLASSES = {1: 1, 2: 3, 3: 12, 4: 64, 5: 405, 6: 3312}
 INVOLUTION_POE_MODELS = {1: 1, 2: 4, 3: 34, 4: 482}
+# Model counts of the other involution specs at orders 1-4; the {involution}
+# counts at orders 1-3 are also checked against the naive oracle
+INVOLUTION_MODELS = {
+    frozenset({INVOLUTION, LE}): (1, 4, 20, 159),
+    frozenset({INVOLUTION, VEE}): (1, 4, 31, 325),
+    frozenset({INVOLUTION, WEDGE}): (1, 4, 34, 482),
+    frozenset({INVOLUTION}): (1, 7, 90, 1638),
+}
 
 
 def test_labeled_associative_counts():
@@ -161,12 +169,28 @@ def test_model_counts_involution_poe():
         assert sum(1 for _ in enumerate_models(spec)) == want
 
 
+def test_model_counts_of_the_other_involution_specs():
+    for tiers, counts in INVOLUTION_MODELS.items():
+        for n, want in enumerate(counts, start=1):
+            spec = ModelSpec(order=n, required_tiers=tiers)
+            assert sum(1 for _ in enumerate_models(spec)) == want
+
+
 def test_matches_naive_oracle_orders_1_to_3():
-    for n in (1, 2, 3):
-        spec = ModelSpec(order=n, required_tiers=frozenset({INVOLUTION, POE}))
-        emitted = list(enumerate_models(spec))
-        assert len({canonical_form(S) for S in emitted}) == len(emitted)
-        assert {brute_canonical_form(S) for S in emitted} == naive_model_forms(n)
+    # (required tiers, naive_model_forms keywords): with and without a star,
+    # with and without a greatest element
+    cases = (
+        ({INVOLUTION, POE}, {}),
+        ({INVOLUTION}, {"require_greatest": False}),
+        ({POE}, {"require_involution": False}),
+        (set(), {"require_involution": False, "require_greatest": False}),
+    )
+    for tiers, naive in cases:
+        for n in (1, 2, 3):
+            spec = ModelSpec(order=n, required_tiers=frozenset(tiers))
+            emitted = list(enumerate_models(spec))
+            assert len({canonical_form(S) for S in emitted}) == len(emitted)
+            assert {brute_canonical_form(S) for S in emitted} == naive_model_forms(n, **naive)
 
 
 def test_right_zero_admits_no_involution():

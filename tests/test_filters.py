@@ -51,14 +51,6 @@ def test_saturation_matches_oracle_on_random_structures(seed):
         assert filter_generated(S, x).members == filter_oracle(S, x)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10 ** 9))
-def test_saturation_round_bound(seed):
-    S = random_model(random.Random(seed), 10, (PO_SEMIGROUP,))
-    for x in S.elements():
-        assert filter_generated(S, x).rounds <= max(S.n, 1)
-
-
 def test_thm26_sets_on_chain2():
     S, _ = chain2()
     assert thm26_set(S, 1) == {1}   # e*0*e = 0 stays below e
@@ -129,15 +121,14 @@ def _random_tables(rng, count, max_order):
     return out
 
 
-def test_saturation_members_and_rounds_match_the_set_oracle(catalog_upto_4):
+def test_saturation_members_match_the_set_oracle(catalog_upto_4):
     rng = random.Random(20261018)
     structures = list(catalog_upto_4)
     structures += [random_model(rng, 9, (PO_SEMIGROUP,)) for _ in range(300)]
     structures += _random_tables(rng, 600, 6)
     for S in structures:
         for x in S.elements():
-            fs = filter_generated(S, x)
-            assert (fs.members, fs.rounds) == oracle_filter_saturation(S, x)
+            assert filter_generated(S, x).members == oracle_filter_saturation(S, x)
 
 
 def _assert_analysis_matches_public_functions(S):
