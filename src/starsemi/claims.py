@@ -436,8 +436,6 @@ CONDITIONS: dict[str, tuple[Body, ...]] = {
     "ideal-elements-star-semiprime": (_body_ideals_star_semiprime,),
     "sided-meets-below-reversed-star-products": (_body_thm22_fwd,),
     "sided-meets-below-star-products": (_star_product_bound(both=True, reverse=False),),
-    "generated-ideals-dominate-star": (_body_prop14,),
-    "sided-ideals-idempotent-and-products-quasi": (_body_prop17_idem, _body_prop16),
     "prop18-conditions": (_body_prop14, _body_prop17_idem, _body_prop16),
     "filters-equal-star-window": (_body_thm26_fwd,),
 }

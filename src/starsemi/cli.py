@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Optional
 
 from . import __version__
@@ -266,14 +267,16 @@ def _cmd_search(args, out):
 
 
 def _cmd_orders(args, out):
+    if args.limit is not None and args.limit < 0:
+        raise _Failure("limit must be >= 0", EXIT_USAGE)
     raw = _load_raw(args.file)
     count = 0
     docs = []
     labels = [raw.label(i) for i in range(raw.n)]
-    for leq in compatible_orders(raw.mult, raw.star,
-                                 require_greatest=args.require_greatest,
-                                 require_joins=args.require_lattice,
-                                 require_meets=args.require_lattice):
+    orders = compatible_orders(raw.mult, raw.star, require_greatest=args.require_greatest,
+                               require_joins=args.require_lattice,
+                               require_meets=args.require_lattice)
+    for leq in islice(orders, args.limit):
         count += 1
         pairs = transitive_reduction_pairs(leq)
         if args.json:
@@ -281,8 +284,6 @@ def _cmd_orders(args, out):
         else:
             shown = ", ".join(f"{labels[a]} <= {labels[b]}" for a, b in pairs) or "(equality)"
             out(f"order {count}: {shown}")
-        if args.limit is not None and count >= args.limit:
-            break
     if args.json:
         out(json.dumps({"command": "orders", "file": str(args.file),
                         "count": count, "orders": docs}, indent=2))

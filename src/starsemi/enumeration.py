@@ -71,6 +71,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if self.limit is not None and self.limit < 0:
+            raise ValueError("limit must be >= 0")
         tiers = tier_closure(self.required_tiers) | {PO_GROUPOID, PO_SEMIGROUP}
         object.__setattr__(self, "required_tiers", frozenset(tiers))
 
@@ -306,8 +308,9 @@ def automorphisms(mult, leq=None, star=None):
 # ---------------------------------------------------------------------------
 # associative table generation
 
-class _AssocSearch:
-    """Backtracking fill of an n*n table with incremental associativity checks.
+def _assoc_tables(n: int, star=None, symmetries=()):
+    """Backtracking fill of an n*n table with incremental associativity checks,
+    yielding each completed table.
 
     Cells are filled block-wise (the full subtable on elements 0..t before
     touching element t+1) so constraints bind as early as possible; values are
@@ -315,13 +318,13 @@ class _AssocSearch:
     the first table row. ``occ[v]`` indexes the filled cells holding value v.
 
     With an involution ``star``, only the tables it turns into an involution
-    semigroup are visited: giving cell (i, j) the value v gives its partner
+    semigroup are yielded: giving cell (i, j) the value v gives its partner
     (j*, i*) the value v* in the same step, as (ij)* = j*i* demands, and a
     cell that is its own partner accepts only values with v* = v.
 
     With ``symmetries``, the non-identity elements of a group G of
-    relabelings under which the set of visited tables is closed, only the
-    lex-leaders are visited: the tables M with M <= g(M) for every g in G,
+    relabelings under which the set of yielded tables is closed, only the
+    lex-leaders are yielded: the tables M with M <= g(M) for every g in G,
     where g(M)[i][j] = g(M[g^-1 i][g^-1 j]) and tables compare cell by cell in
     the walk order, the fill order with each partner right after its cell. These
     are the symmetry-breaking predicates of Crawford, Ginsberg, Luks & Roy,
@@ -332,44 +335,39 @@ class _AssocSearch:
     difference. The least table of each orbit is never cut, so every orbit
     met by the unpruned search keeps exactly one table.
     """
+    order = []
+    for t in range(n):
+        order.extend((t, j) for j in range(t + 1))
+        order.extend((i, t) for i in range(t))
+    cells, mates, values = [], [], []
+    mated = set()
+    for i, j in order:
+        if (i, j) in mated:
+            continue
+        mate = None if star is None else (star[j], star[i])
+        if mate == (i, j):
+            mate, vals = None, tuple(v for v in range(n) if star[v] == v)
+        else:
+            vals = range(n)
+            mated.add(mate)
+        cells.append((i, j))
+        mates.append(mate)
+        values.append(vals)
+    walk = [c for cell, mate in zip(cells, mates) for c in (cell, mate) if c is not None]
+    leaders = []
+    for g in symmetries:
+        ginv = _perm_inverse(g)
+        leaders.append((g, [(i, j, ginv[i], ginv[j]) for i, j in walk]))
+    blocks = [max(cell) for cell in cells] + [n]
+    block_end = [blocks[k] != blocks[k + 1] for k in range(len(cells))]
+    last = len(cells) - 1
+    m = [[None] * n for _ in range(n)]
+    occ = [[] for _ in range(n)]
 
-    def __init__(self, n: int, star=None, symmetries=()):
-        self.n = n
-        self.star = star
-        order = []
-        for t in range(n):
-            order.extend((t, j) for j in range(t + 1))
-            order.extend((i, t) for i in range(t))
-        self.cells, self.mates, self.values = [], [], []
-        mated = set()
-        for i, j in order:
-            if (i, j) in mated:
-                continue
-            mate = None if star is None else (star[j], star[i])
-            if mate == (i, j):
-                mate, values = None, tuple(v for v in range(n) if star[v] == v)
-            else:
-                values = range(n)
-                mated.add(mate)
-            self.cells.append((i, j))
-            self.mates.append(mate)
-            self.values.append(values)
-        walk = [c for cell, mate in zip(self.cells, self.mates) for c in (cell, mate)
-                if c is not None]
-        self.symmetries = []
-        for g in symmetries:
-            ginv = _perm_inverse(g)
-            self.symmetries.append((g, [(i, j, ginv[i], ginv[j]) for i, j in walk]))
-        blocks = [max(cell) for cell in self.cells] + [n]
-        self.block_end = [blocks[k] != blocks[k + 1] for k in range(len(self.cells))]
-        self.m = [[None] * n for _ in range(n)]
-        self.occ = [[] for _ in range(n)]
-
-    def _lex_leader(self):
+    def lex_leader():
         # False when some g(M) is below M at the first cell, in walk order,
         # where the two differ, all cells before it defined on both sides
-        m = self.m
-        for g, pairs in self.symmetries:
+        for g, pairs in leaders:
             for i, j, a, b in pairs:
                 x, y = m[i][j], m[a][b]
                 if x is None or y is None:
@@ -381,18 +379,17 @@ class _AssocSearch:
                     break
         return True
 
-    def _ok(self, i, j):
+    def ok(i, j):
         # check every triple whose four table accesses just became defined
-        m = self.m
         v = m[i][j]
         mi, mj, mv = m[i], m[j], m[v]
-        for z in range(self.n):
+        for z in range(n):
             jz = mj[z]
             if jz is not None:
                 r1, r2 = mv[z], mi[jz]           # (ij)z vs i(jz)
                 if r1 is not None and r2 is not None and r1 != r2:
                     return False
-        for x in range(self.n):
+        for x in range(n):
             mx = m[x]
             xi = mx[i]
             if xi is not None:
@@ -401,13 +398,13 @@ class _AssocSearch:
                     r1 = m[xi][j]                 # (xi)j
                     if r1 is not None and r1 != r2:
                         return False
-        for x, y in self.occ[i]:                  # (xy)j with xy == i
+        for x, y in occ[i]:                       # (xy)j with xy == i
             yj = m[y][j]
             if yj is not None:
                 r = m[x][yj]
                 if r is not None and r != v:
                     return False
-        for y, z in self.occ[j]:                  # i(yz) with yz == j
+        for y, z in occ[j]:                       # i(yz) with yz == j
             iy = mi[y]
             if iy is not None:
                 r = m[iy][z]
@@ -415,47 +412,39 @@ class _AssocSearch:
                     return False
         return True
 
-    def run(self, visit):
-        m, occ, star = self.m, self.occ, self.star
-        cells, mates, values = self.cells, self.mates, self.values
-        last = len(cells) - 1
-        block_end = self.block_end
-
-        def fill(k):
-            i, j = cells[k]
-            mate = mates[k]
-            for v in values[k]:
-                m[i][j] = v
-                occ[v].append((i, j))
-                if mate is not None:
-                    w = star[v]
-                    m[mate[0]][mate[1]] = w
-                    occ[w].append(mate)
-                # cells are filled in partner pairs, so (ab)c = a(bc) holds
-                # exactly when its star image (c*b*)a* = c*(b*a*) does, and
-                # every triple through the mate is the image of one through
-                # (i, j): checking (i, j) alone suffices
-                if self._ok(i, j) and (not block_end[k] or self._lex_leader()):
-                    if k == last:
-                        visit(tuple(map(tuple, m)))
-                    else:
-                        fill(k + 1)
-                if mate is not None:
-                    occ[w].pop()
-                occ[v].pop()
-            m[i][j] = None
+    def fill(k):
+        i, j = cells[k]
+        mate = mates[k]
+        for v in values[k]:
+            m[i][j] = v
+            occ[v].append((i, j))
             if mate is not None:
-                m[mate[0]][mate[1]] = None
+                w = star[v]
+                m[mate[0]][mate[1]] = w
+                occ[w].append(mate)
+            # cells are filled in partner pairs, so (ab)c = a(bc) holds
+            # exactly when its star image (c*b*)a* = c*(b*a*) does, and
+            # every triple through the mate is the image of one through
+            # (i, j): checking (i, j) alone suffices
+            if ok(i, j) and (not block_end[k] or lex_leader()):
+                if k == last:
+                    yield tuple(map(tuple, m))
+                else:
+                    yield from fill(k + 1)
+            if mate is not None:
+                occ[w].pop()
+            occ[v].pop()
+        m[i][j] = None
+        if mate is not None:
+            m[mate[0]][mate[1]] = None
 
-        if cells:
-            fill(0)
+    if cells:
+        yield from fill(0)
 
 
 def associative_tables(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All labeled associative n*n tables, in deterministic search order."""
-    out: list = []
-    _AssocSearch(n).run(out.append)
-    return iter(out)
+    return _assoc_tables(n)
 
 
 @lru_cache(maxsize=32)
@@ -492,7 +481,7 @@ def semigroup_representatives(n: int, star_admitting: bool = False):
     Each run visits only the tables its star respects.
 
     Each run (the one run without a star too) visits only the lex-leaders
-    (see ``_AssocSearch``) under the centralizer of its star s: the
+    (see ``_assoc_tables``) under the centralizer of its star s: the
     relabelings p with p∘s = s∘p, all of them without a star. Such a p maps a
     table that respects s to one that does too, so the set the unpruned run
     visits is closed under the group, and the least table of each orbit in
@@ -517,25 +506,22 @@ def semigroup_representatives(n: int, star_admitting: bool = False):
     order search of each table reaches its first model. The naive-oracle
     tests check the result class by class.
     """
+    identity = tuple(range(n))
+    if star_admitting:  # k = 0 is the identity star
+        stars = [tuple(x ^ 1 if x < 2 * k else x for x in identity) for k in range(n // 2 + 1)]
+    else:
+        stars = [None]
     kept = []
     seen = set()
-
-    def keep_keyed(mult):
-        if mult != tuple(zip(*mult)):  # not commutative
-            key = _symmetry(mult)[0]
-            if key not in seen:
-                seen.add(key)
+    for star in stars:
+        for mult in _assoc_tables(n, star, symmetries=_centralizer(star or identity)):
+            if star in (None, identity):
                 kept.append(mult)
-
-    identity = tuple(range(n))
-    if star_admitting:
-        runs = [(identity, kept.append)]
-        runs += [(tuple(x ^ 1 if x < 2 * k else x for x in identity), keep_keyed)
-                 for k in range(1, n // 2 + 1)]
-    else:
-        runs = [(None, kept.append)]
-    for star, visit in runs:
-        _AssocSearch(n, star, symmetries=_centralizer(star or identity)).run(visit)
+            elif mult != tuple(zip(*mult)):  # not commutative
+                key = _symmetry(mult)[0]
+                if key not in seen:
+                    seen.add(key)
+                    kept.append(mult)
     reverse = identity[::-1]
     return tuple(sorted(_apply_perm_mult(mult, reverse, reverse) for mult in kept))
 
@@ -705,6 +691,8 @@ def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
         raise ValueError(f"exhaustive enumeration is limited to order <= {EXHAUSTIVE_MAX_ORDER}")
     tiers = spec.required_tiers
     want_star = INVOLUTION in tiers
+    if spec.limit == 0:
+        return
     emitted = 0
     for mult in semigroup_representatives(n, star_admitting=want_star):
         auts = _nontrivial(automorphisms(mult))

@@ -20,6 +20,8 @@ from .structure import (
     validate_structure,
 )
 
+_MAX_TRIES = 2000  # candidates drawn by random_model before it gives up
+
 
 def _random_poset(rng: random.Random, n: int):
     pairs = []
@@ -132,12 +134,11 @@ def _candidate(rng: random.Random, max_order: int):
 
 
 def random_model(rng: random.Random, max_order: int,
-                 required_tiers: Iterable[str] = (),
-                 max_tries: int = 2000) -> OrderedAlgebra:
+                 required_tiers: Iterable[str] = ()) -> OrderedAlgebra:
     """Rejection-sample one validated structure of order <= max_order whose
     accepted tiers cover required_tiers."""
     want = tier_closure(required_tiers)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         mult, leq, star = _candidate(rng, max_order)
         if len(mult) > max_order:
             continue
@@ -145,7 +146,7 @@ def random_model(rng: random.Random, max_order: int,
             RawStructure(n=len(mult), mult=mult, leq=leq, star=star))
         if want <= report.accepted:
             return model
-    raise RuntimeError(f"no sample with tiers {sorted(want)} within {max_tries} tries")
+    raise RuntimeError(f"no sample with tiers {sorted(want)} within {_MAX_TRIES} tries")
 
 
 def random_models(count: int, max_order: int, required_tiers: Iterable[str] = (),

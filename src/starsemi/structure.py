@@ -441,8 +441,6 @@ def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationRep
     re-check (``_accepted_structure``) reads only the first violation of each
     tier from the same checks.
     """
-    if not isinstance(raw, RawStructure):
-        raw = RawStructure(*raw)  # allow (n, mult, leq, star, labels) tuples
     join_t, meet_t = bounds_tables(raw.leq)
     e = greatest_element(raw.leq)
     violations = [v for check in _tier_checks(raw, e, join_t, meet_t) for v in check]

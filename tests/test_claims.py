@@ -30,6 +30,11 @@ def test_registry_size_and_stability():
     assert claims == list_claims()  # stable order
 
 
+def test_every_condition_is_some_claims_hypothesis():
+    used = {c.condition for c in list_claims() + list_mutants()}
+    assert set(CONDITIONS) <= used
+
+
 def test_iff_theorems_split():
     ids = {c.id for c in list_claims()}
     assert {"thm26-fwd", "thm26-conv", "thm13-fwd", "thm13-conv",

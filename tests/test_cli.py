@@ -2,6 +2,8 @@ import io
 import json
 import pathlib
 
+import pytest
+
 from starsemi import ModelSpec, INVOLUTION, POE, check_all, search_counterexample
 from starsemi.cli import run
 from starsemi.fileformat import load_structure, serialize_structure
@@ -192,6 +194,22 @@ def test_orders_json():
     doc = json.loads(out)
     assert doc["count"] == 5
     assert [] in doc["orders"]  # the equality order has no covering pairs
+
+
+def test_orders_limit_zero_prints_no_order():
+    code, out = run_cli("orders", str(STRUCTURES / "example2.txt"), "--limit", "0")
+    assert code == 0
+    assert out.splitlines() == ["0 compatible order(s)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--order", "3", "--limit", "-2", "--claims", "all"),
+    ("search", "--order", "3", "--limit", "-1", "--json"),
+    ("orders", str(STRUCTURES / "example2.txt"), "--limit", "-1"),
+])
+def test_negative_limit_exit_two(argv):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
 
 
 def test_candidate_file_validates_with_poe():

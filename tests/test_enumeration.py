@@ -1,3 +1,4 @@
+import inspect
 import pathlib
 
 import pytest
@@ -10,7 +11,7 @@ from starsemi import (
 )
 from starsemi import RawStructure
 from starsemi.enumeration import (
-    _AssocSearch, _centralizer, _compatible_order_stream, _involutions,
+    _assoc_tables, _centralizer, _compatible_order_stream, _involutions,
 )
 from starsemi.fileformat import load_structure
 from starsemi.structure import equality_leq, greatest_element
@@ -45,6 +46,10 @@ INVOLUTION_MODELS = {
 def test_labeled_associative_counts():
     for n, want in LABELED_ASSOCIATIVE.items():
         assert sum(1 for _ in associative_tables(n)) == want
+
+
+def test_associative_tables_is_a_stream():
+    assert inspect.isgenerator(associative_tables(4))
 
 
 def test_pruning_never_excludes_a_completable_table():
@@ -82,8 +87,7 @@ def test_star_search_visits_exactly_the_tables_the_star_respects():
     for n in (1, 2, 3):
         brute = list(brute_associative_tables(n))
         for star in involutive_perms(n):
-            visited = []
-            _AssocSearch(n, star).run(visited.append)
+            visited = list(_assoc_tables(n, star))
             assert len(set(visited)) == len(visited)
             assert set(visited) == {m for m in brute if anti_automorphic(m, star)}
 
@@ -100,21 +104,17 @@ def test_pruned_search_visits_exactly_the_lex_leaders():
             group = commuting_perms(n, star)
             symmetries = _centralizer(star or tuple(range(n)))
             assert symmetries == group
-            unpruned, pruned = [], []
-            _AssocSearch(n, star).run(unpruned.append)
-            _AssocSearch(n, star, symmetries=symmetries).run(pruned.append)
+            unpruned = list(_assoc_tables(n, star))
+            pruned = list(_assoc_tables(n, star, symmetries=symmetries))
             assert pruned == [m for m in unpruned if lex_leader(m, search_walk(n, star), group)]
 
 
 def test_representatives_are_the_classes_of_the_unpruned_search():
     for n in (1, 2, 3, 4):
-        tables = []
-        _AssocSearch(n).run(tables.append)
+        tables = list(_assoc_tables(n))
         _assert_one_table_per_class(
             semigroup_representatives(n), {_mult_class(m) for m in tables})
-        tables = []
-        for star in _normal_form_stars(n):
-            _AssocSearch(n, star).run(tables.append)
+        tables = [m for star in _normal_form_stars(n) for m in _assoc_tables(n, star)]
         _assert_one_table_per_class(
             semigroup_representatives(n, star_admitting=True), {_mult_class(m) for m in tables})
 
@@ -125,11 +125,8 @@ def test_full_group_runs_visit_one_table_per_class():
     # the identity-star run already has
     for n in (1, 2, 3, 4):
         identity = tuple(range(n))
-        runs = {}
-        for star in [None] + _normal_form_stars(n):
-            runs[star] = []
-            _AssocSearch(n, star, symmetries=_centralizer(star or identity)).run(
-                runs[star].append)
+        runs = {star: list(_assoc_tables(n, star, symmetries=_centralizer(star or identity)))
+                for star in [None] + _normal_form_stars(n)}
         for star in (None, identity):
             forms = [_mult_class(m) for m in runs[star]]
             assert len(set(forms)) == len(forms)
@@ -333,6 +330,16 @@ def test_limit_and_partial_stream_marker():
     spec_all = ModelSpec(order=3, required_tiers=frozenset({INVOLUTION, POE}), limit=10 ** 6)
     models_all, complete_all = collect_models(spec_all)
     assert complete_all and len(models_all) == INVOLUTION_POE_MODELS[3]
+
+
+def test_limit_zero_emits_nothing():
+    spec = ModelSpec(order=3, required_tiers=frozenset({INVOLUTION, POE}), limit=0)
+    assert list(enumerate_models(spec)) == []
+
+
+def test_negative_limit_is_refused():
+    with pytest.raises(ValueError, match="limit"):
+        ModelSpec(order=3, required_tiers=frozenset({INVOLUTION, POE}), limit=-1)
 
 
 def test_collect_and_search_agree_on_the_partial_stream_marker():
