@@ -18,9 +18,7 @@ from . import __version__
 from .claims import (
     FAIL, NOT_APPLICABLE, StructureAnalysis, check_claim, expand_claim_ids, report_record,
 )
-from .enumeration import (
-    ModelSpec, collect_models, compatible_orders, search_counterexample, write_catalog,
-)
+from .enumeration import ModelSpec, _sweep, compatible_orders, write_catalog
 from .fileformat import FormatError, load_structure, serialize_structure
 from .ideals import ElementClassification, classify_all
 from .regularity import regularity_profile
@@ -71,6 +69,8 @@ def _flag(value: Optional[bool]) -> str:
 
 
 def _cmd_validate(args, out):
+    if args.max_witnesses < 0:
+        raise _Failure("max-witnesses must be >= 0", EXIT_USAGE)
     S, report = _load(args.file)
     expected = _parse_tiers(args.expect) if args.expect else frozenset({PO_GROUPOID})
     missing = sorted(expected - report.accepted)
@@ -206,26 +206,23 @@ def _cmd_filters(args, out):
 def _cmd_search(args, out):
     tiers = _parse_tiers(args.tiers) if args.tiers else frozenset({POE, INVOLUTION})
     spec = ModelSpec(order=args.order, required_tiers=tiers, limit=args.limit)
-    ids = _select_claims(args.claims) if args.claims else ()
-    report = search_counterexample(spec, ids) if ids else None
-    if report is None:
-        models, complete = collect_models(spec)
-        if args.out:
-            write_catalog(models, args.out)
+    report, models = _sweep(spec, _select_claims(args.claims) if args.claims else ())
+    if args.out:
+        write_catalog(models, args.out)  # the whole stream, past a counterexample too
+    else:
+        any(report.failed for _ in models)  # read up to the first counterexample
+    if not report.claim_ids:
         if args.json:
             out(json.dumps({"command": "search", "order": args.order,
-                            "tiers": sorted(tiers), "models": len(models),
-                            "complete": complete}, indent=2))
+                            "tiers": sorted(tiers), "models": report.models_checked,
+                            "complete": report.complete}, indent=2))
         else:
-            out(f"{len(models)} model(s) at order {args.order}, "
+            out(f"{report.models_checked} model(s) at order {args.order}, "
                 f"tiers {{{', '.join(sorted(tiers))}}}"
-                + ("" if complete else " (stream truncated by limit)"))
+                + ("" if report.complete else " (stream truncated by limit)"))
             if args.out:
                 out(f"catalog written to {args.out}")
         return EXIT_OK
-    if args.out:
-        models, _ = collect_models(spec)
-        write_catalog(models, args.out)
     if args.json:
         doc = {
             "command": "search", "order": args.order, "tiers": sorted(tiers),

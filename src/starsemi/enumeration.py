@@ -725,21 +725,11 @@ def _finish_model(mult, leq, star, tiers, bounds):
     return model
 
 
-def _capped_stream(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
-    """The model stream of ``spec``, cut one model past its limit: a model
-    beyond ``spec.limit`` marks the stream as truncated."""
-    if spec.limit is not None:
-        spec = replace(spec, limit=spec.limit + 1)
-    return enumerate_models(spec)
-
-
 def collect_models(spec: ModelSpec) -> tuple[list[OrderedAlgebra], bool]:
     """Materialize the stream; the second component is False when the limit
     truncated it (the partial-stream marker)."""
-    models = list(_capped_stream(spec))
-    if spec.limit is not None and len(models) > spec.limit:
-        return models[:spec.limit], False
-    return models, True
+    report, models = _sweep(spec, ())
+    return list(models), report.complete
 
 
 # ---------------------------------------------------------------------------
@@ -780,53 +770,67 @@ def search_counterexample(spec: ModelSpec, claim_ids: Iterable[str]) -> SweepRep
     """Sweep the model stream, stopping at the first model where any listed
     claim fails; otherwise summarize per-claim totals. No ids give an empty
     report."""
+    report, models = _sweep(spec, claim_ids)
+    if report.claim_ids:
+        any(report.failed for _ in models)  # read up to the first counterexample
+    return report
+
+
+def _sweep(spec: ModelSpec,
+           claim_ids: Iterable[str]) -> tuple[SweepReport, Iterator[OrderedAlgebra]]:
+    """A report on ``claim_ids`` and the stream of ``spec`` that fills it: each
+    model up to the limit is counted and, until the first counterexample,
+    checked against the claims before it is yielded."""
     ids = expand_claim_ids(claim_ids)
     report = SweepReport(spec=spec, claim_ids=ids, models_checked=0, complete=True,
                          stats={cid: ClaimSweepStats(cid) for cid in ids})
-    if not ids:
-        return report
-    for model in _capped_stream(spec):
-        if report.models_checked == spec.limit:
-            report.complete = False  # partial-stream marker: the cap truncated
-            return report
-        report.models_checked += 1
-        ctx = StructureAnalysis(model)
-        for cid in ids:
-            rep = check_claim(model, cid, ctx)
-            st = report.stats[cid]
-            if rep.status == NOT_APPLICABLE:
-                st.not_applicable += 1
-                continue
-            st.applicable += 1
-            st.nonvacuous_instances += rep.instances_checked
-            if rep.status == PASS:
-                st.passes += 1
-                if rep.vacuous:
-                    st.vacuous_passes += 1
-            else:
-                st.failures += 1
-                if report.counterexample is None:
-                    report.counterexample = (model, rep)
-        if report.counterexample is not None:
-            report.complete = False
-            return report
-    return report
+
+    def models():
+        # the limit is kept here: a model past it tells a truncated stream from an exact fit
+        for seen, model in enumerate(enumerate_models(replace(spec, limit=None))):
+            if seen == spec.limit:
+                report.complete = False  # partial-stream marker: the cap truncated
+                return
+            if not report.failed:
+                report.models_checked += 1
+                ctx = StructureAnalysis(model)
+                for cid in ids:
+                    rep = check_claim(model, cid, ctx)
+                    st = report.stats[cid]
+                    if rep.status == NOT_APPLICABLE:
+                        st.not_applicable += 1
+                        continue
+                    st.applicable += 1
+                    st.nonvacuous_instances += rep.instances_checked
+                    if rep.status == PASS:
+                        st.passes += 1
+                        if rep.vacuous:
+                            st.vacuous_passes += 1
+                    else:
+                        st.failures += 1
+                        if report.counterexample is None:
+                            report.counterexample = (model, rep)
+                            report.complete = False
+            yield model
+
+    return report, models()
 
 
 # ---------------------------------------------------------------------------
 # catalog persistence
 
 def write_catalog(models: Iterable[OrderedAlgebra], outdir) -> list[str]:
-    """One structure file per model plus index.txt with canonical digests."""
+    """One structure file per model plus index.txt with canonical digests,
+    each written as its model arrives."""
     os.makedirs(outdir, exist_ok=True)
     names = []
-    index = []
-    for k, model in enumerate(models, start=1):
-        name = f"model_{k:04d}.txt"
-        with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
-            fh.write(serialize_structure(model))
-        index.append(f"{name} {canonical_form(model).digest}")
-        names.append(name)
-    with open(os.path.join(outdir, "index.txt"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(index) + "\n")
+    with open(os.path.join(outdir, "index.txt"), "w", encoding="utf-8") as index:
+        for k, model in enumerate(models, start=1):
+            name = f"model_{k:04d}.txt"
+            with open(os.path.join(outdir, name), "w", encoding="utf-8") as fh:
+                fh.write(serialize_structure(model))
+            index.write(f"{name} {canonical_form(model).digest}\n")
+            names.append(name)
+        if not names:
+            index.write("\n")  # the index of an empty catalog is one empty line
     return names

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 
 import pytest
@@ -17,6 +18,16 @@ def catalog(order):
         spec = ModelSpec(order=order, required_tiers=frozenset({INVOLUTION, POE}))
         _catalog_cache[order] = tuple(enumerate_models(spec))
     return _catalog_cache[order]
+
+
+def fingerprint(lines):
+    """A label-independent fingerprint of records that each begin with a
+    canonical digest: the digest version, then the sha256 of the sorted
+    records joined by newlines. A change of canonical labeling shows as a
+    new version."""
+    lines = sorted(lines)
+    (version,) = {line.split("-", 1)[0] for line in lines}
+    return f"{version}-{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}"
 
 
 @pytest.fixture(scope="session")

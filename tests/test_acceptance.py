@@ -18,7 +18,7 @@ from starsemi.cli import run as cli_run
 from starsemi.fileformat import load_structure
 from starsemi.sampling import random_models
 
-from conftest import STRUCTURES, record_acceptance
+from conftest import STRUCTURES, fingerprint, record_acceptance
 from support import brute_canonical_form, naive_model_forms
 
 INV_POE = frozenset({INVOLUTION, POE})
@@ -40,6 +40,13 @@ MUTANT_OUTCOMES = {
     "mut-prop07-noswap": "falsified",
     "mut-prop17-all-idem": "falsified",
 }
+
+
+# Criterion 2 fingerprints of the order-5 involution-poe catalog: its canonical
+# digests, and its per-model verdict records (digest, claim id, status,
+# instances checked, vacuous) over the registered claims
+CATALOG_5_FINGERPRINT = "v2-31cea26995317ba20da382ef53c8e8df9b84abcb4aad60a315b166e633b1c202"
+VERDICTS_5_FINGERPRINT = "v2-1e71955b5209360bbe618066ac25007167e36a48b0c6d1f8751ef095b8dce492"
 
 
 @contextmanager
@@ -100,10 +107,18 @@ def test_criterion_2_exhaustive_claim_sweep(catalog_5):
         # order 5 on the catalog that criterion 4 also reads
         assert len(catalog_5) == 10200
         ids = [c.id for c in list_claims()]
+        digests, verdicts = [], []
         for S in catalog_5:
+            digest = canonical_form(S).digest
+            digests.append(digest)
             ctx = StructureAnalysis(S)
             for cid in ids:
-                assert check_claim(S, cid, ctx).status != FAIL, (cid, S.raw)
+                rep = check_claim(S, cid, ctx)
+                assert rep.status != FAIL, (cid, S.raw)
+                verdicts.append(f"{digest} {cid} {rep.status} {rep.instances_checked} "
+                                f"{rep.vacuous}")
+        assert fingerprint(digests) == CATALOG_5_FINGERPRINT
+        assert fingerprint(verdicts) == VERDICTS_5_FINGERPRINT
 
 
 class _Discard:

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from starsemi import ModelSpec, INVOLUTION, POE, check_all, search_counterexample
+from starsemi import ModelSpec, INVOLUTION, POE, check_all, enumeration, search_counterexample
 from starsemi.cli import run
 from starsemi.fileformat import load_structure, serialize_structure
 from starsemi.structure import validate_structure
@@ -171,6 +171,40 @@ def test_search_json_and_catalog(tmp_path):
     assert len(list(outdir.glob("model_*.txt"))) == 4
 
 
+def test_search_reads_the_stream_once_and_writes_the_same_catalog(tmp_path, monkeypatch):
+    # --claims with --out builds each model once, and its catalog is the one
+    # that --out alone writes
+    calls = []
+    finish = enumeration._finish_model
+
+    def counted(*args):
+        calls.append(None)
+        return finish(*args)
+
+    monkeypatch.setattr(enumeration, "_finish_model", counted)
+    swept, plain = tmp_path / "swept", tmp_path / "plain"
+    code, _ = run_cli("search", "--order", "4", "--tiers", "involution,poe",
+                      "--claims", "prop07", "--out", str(swept))
+    assert code == 0 and len(calls) == 482
+    code, _ = run_cli("search", "--order", "4", "--tiers", "involution,poe",
+                      "--out", str(plain))
+    assert code == 0
+    names = sorted(p.name for p in plain.iterdir())
+    assert len(names) == 483 and sorted(p.name for p in swept.iterdir()) == names
+    for name in names:
+        assert (swept / name).read_text() == (plain / name).read_text()
+
+
+def test_search_counterexample_with_out_writes_the_whole_catalog(tmp_path):
+    outdir = tmp_path / "cat"
+    code, out = run_cli("search", "--order", "2", "--tiers", "involution,poe",
+                        "--claims", "mut-prop17-all-idem", "--out", str(outdir))
+    assert code == 1
+    assert "COUNTEREXAMPLE" in out
+    assert len((outdir / "index.txt").read_text().splitlines()) == 4
+    assert len(list(outdir.glob("model_*.txt"))) == 4
+
+
 def test_search_unknown_tier_exit_two():
     code, _ = run_cli("search", "--order", "2", "--tiers", "involutionn")
     assert code == 2
@@ -206,6 +240,7 @@ def test_orders_limit_zero_prints_no_order():
     ("search", "--order", "3", "--limit", "-2", "--claims", "all"),
     ("search", "--order", "3", "--limit", "-1", "--json"),
     ("orders", str(STRUCTURES / "example2.txt"), "--limit", "-1"),
+    ("validate", str(STRUCTURES / "example2.txt"), "--max-witnesses", "-1"),
 ])
 def test_negative_limit_exit_two(argv):
     code, out = run_cli(*argv)

@@ -16,6 +16,7 @@ from starsemi.enumeration import (
 from starsemi.fileformat import load_structure
 from starsemi.structure import equality_leq, greatest_element
 
+from conftest import fingerprint
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, admits_involution, anti_automorphic,
     brute_associative_tables, brute_canonical_form, chain2, commuting_perms, involutive_perms,
@@ -40,6 +41,20 @@ INVOLUTION_MODELS = {
     frozenset({INVOLUTION, VEE}): (1, 4, 31, 325),
     frozenset({INVOLUTION, WEDGE}): (1, 4, 34, 482),
     frozenset({INVOLUTION}): (1, 7, 90, 1638),
+}
+# Order-4 catalog fingerprints (conftest.fingerprint of the canonical digests):
+# they hold while the counts hold only if the classes are the same too
+ORDER_4_FINGERPRINTS = {
+    frozenset({INVOLUTION, POE}):
+        "v2-b51a1c5c92c46aa39253ac0196eec3b745a421d1e0b95cd63273c862a8fb09f9",
+    frozenset({INVOLUTION, LE}):
+        "v2-e856ccacde27a4d65084fd9cc9fae0a6dd275c654404d06e956a01a483fdfcac",
+    frozenset({INVOLUTION, VEE}):
+        "v2-3c51ac4e4cb1216134e8ff20330c9d48d24798939b2b1819b41fb99f51afa02c",
+    frozenset({INVOLUTION, WEDGE}):
+        "v2-27cdaf66f72b457d9e43073fd4010ba05743898984fbac754a5e625c44da934e",
+    frozenset({INVOLUTION}):
+        "v2-d6384955fd614ac5d1776680e776967144315fb972d8a7a5052907cb5e2b0a7a",
 }
 
 
@@ -160,17 +175,22 @@ def test_order1_involution_le_single_model():
     assert models[0].tiers >= {INVOLUTION, LE}
 
 
+def _assert_counts_and_fingerprint(tiers, counts):
+    for n, want in counts.items():
+        spec = ModelSpec(order=n, required_tiers=tiers)
+        digests = [canonical_form(S).digest for S in enumerate_models(spec)]
+        assert len(digests) == want
+        if n == 4:
+            assert fingerprint(digests) == ORDER_4_FINGERPRINTS[tiers]
+
+
 def test_model_counts_involution_poe():
-    for n, want in INVOLUTION_POE_MODELS.items():
-        spec = ModelSpec(order=n, required_tiers=frozenset({INVOLUTION, POE}))
-        assert sum(1 for _ in enumerate_models(spec)) == want
+    _assert_counts_and_fingerprint(frozenset({INVOLUTION, POE}), INVOLUTION_POE_MODELS)
 
 
 def test_model_counts_of_the_other_involution_specs():
     for tiers, counts in INVOLUTION_MODELS.items():
-        for n, want in enumerate(counts, start=1):
-            spec = ModelSpec(order=n, required_tiers=tiers)
-            assert sum(1 for _ in enumerate_models(spec)) == want
+        _assert_counts_and_fingerprint(tiers, dict(enumerate(counts, start=1)))
 
 
 def test_matches_naive_oracle_orders_1_to_3():
@@ -391,6 +411,8 @@ def test_write_catalog(tmp_path):
         reloaded = load_structure(tmp_path / name)
         assert canonical_form(reloaded) == canonical_form(model)
         assert canonical_form(reloaded).digest == digest
+    assert write_catalog([], tmp_path / "empty") == []
+    assert (tmp_path / "empty" / "index.txt").read_text() == "\n"
 
 
 def test_spec_order_guards():
