@@ -2,17 +2,18 @@
 
 Every claim has a hypothesis gate (required axiom tiers plus an optional
 structure-level condition) and a body whose quantifiers run exhaustively over
-the elements. Guarded instantiations (an element failing an antecedent, a
-meet that does not exist) are skipped as vacuous and not counted. A condition
-is a conjunction of claim bodies, since the paper's hypotheses are statements
-that other claims conclude; it holds when none of its bodies has a failing
-instance. ``StructureAnalysis.outcome`` runs each body at most once per
-structure, so a body that is both a hypothesis and a claim (or two claim ids
-sharing one body) costs one evaluation. A claim never re-uses the
-characterization it asserts: bodies go through the definitional operations of
-the ideals/regularity/filters modules, shared per structure by
-``StructureAnalysis``, and evaluate products, stars, bounds and the order by
-reading the structure's tables directly.
+the elements. A body returns its bindings as bitmasks: the guard (the
+instances) and those that hold. Guarded-out instantiations (an element
+failing an antecedent, a meet that does not exist) are vacuous and not
+counted. A condition is a conjunction of claim bodies, since the paper's
+hypotheses are statements that other claims conclude; it holds when none of
+its bodies has a failing instance. ``StructureAnalysis.outcome`` runs each
+body at most once per structure, so a body that is both a hypothesis and a
+claim (or two claim ids sharing one body) costs one evaluation. A claim
+never re-uses the characterization it asserts: bodies go through the
+definitional operations of the ideals/regularity/filters modules, shared per
+structure by ``StructureAnalysis``, and evaluate products, stars, bounds and
+the order by reading the structure's tables directly.
 
 Claim ids are stable. Theorems stated as equivalences are split into -fwd
 and -conv entries because the two directions carry different hypotheses;
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Optional
+from itertools import chain
+from typing import Callable, Optional
 
-from .filters import _partition, filter_generated, thm26_set
+from .filters import _filter_classes, _filter_masks, _partition, _window_masks
 from .ideals import classify_all, generated_left, generated_right, in_ideal_generated
-from .regularity import regularity_profile
+from .regularity import _failure_masks
 from .structure import (
-    ALL_TIERS, INVOLUTION, LE, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, VEE, WEDGE,
+    ALL_TIERS, BITS, INVOLUTION, LE, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, VEE, WEDGE,
 )
 
 STATEMENT = "statement"
@@ -65,204 +67,207 @@ class ClaimReport:
 
 class StructureAnalysis:
     """The structure facts that the claim checks on one structure share, each
-    computed once, on first use: the element classification, the regularity
-    profile, the generated filter of every element, the filter-class
-    partition built from those filters (no second saturation), the star
-    window {y | x <= e y* e} of every element, each equal to what the public
-    function of its module returns for the same structure; and, through
-    ``outcome``, the outcome of every claim body that a verdict or a
-    hypothesis has asked for."""
+    computed once, on first use, as bitmasks: the classification flags (from
+    the ``classify_all`` pass), the regularity failures, and the filter,
+    filter class and star window {y | x <= e y* e} of every element, each the
+    mask form of what its module's public function returns; the filter-class
+    partition; and, through ``outcome``, the outcome of every claim body
+    that a verdict or a hypothesis has asked for."""
 
     def __init__(self, S: OrderedAlgebra):
         self.S = S
         self._outcomes = {}
 
     def outcome(self, body) -> tuple[int, Optional[tuple[int, ...]]]:
-        """(instances, first failing binding or None) of a claim body on S,
-        counting every instance. The body runs once; later calls read the
-        kept outcome."""
+        """(instances, first failing binding or None) of a claim body on S.
+        The instances are the bindings in the body's guard; the witness is
+        the lowest binding in the guard and not in ``ok``. The body runs
+        once; later calls read the kept outcome."""
         out = self._outcomes.get(body)
         if out is None:
-            instances, witness, it = 0, None, body(self)
-            for binding, ok in it:
-                instances += 1
-                if not ok:
-                    instances += sum(1 for _ in it)
-                    witness = tuple(binding)
-                    break
-            out = self._outcomes[body] = (instances, witness)
+            arity, guard, ok = body(self)
+            failing = guard & ~ok
+            witness = None
+            if failing:
+                low = (failing & -failing).bit_length() - 1
+                n = self.S.n
+                witness = tuple(low // n ** k % n for k in range(arity - 1, -1, -1))
+            out = self._outcomes[body] = (guard.bit_count(), witness)
         return out
 
     @cached_property
-    def classes(self):
-        return classify_all(self.S)
+    def flag_masks(self):
+        return classify_all(self.S).masks
 
     @cached_property
-    def profile(self):
-        return regularity_profile(self.S)
+    def failure_masks(self):
+        return _failure_masks(self.S)
 
     @cached_property
-    def filter_members(self):
-        return tuple(filter_generated(self.S, x).members for x in self.S.elements())
+    def filter_masks(self):
+        return _filter_masks(self.S)
+
+    @cached_property
+    def filter_classes(self):
+        return _filter_classes(self.filter_masks)
 
     @cached_property
     def partition(self):
-        return _partition(self.S, self.filter_members)
+        return _partition(self.S, self.filter_classes)
 
     @cached_property
-    def windows(self):
-        return tuple(thm26_set(self.S, x) for x in self.S.elements())
+    def window_masks(self):
+        return _window_masks(self.S)
 
 
 # ---------------------------------------------------------------------------
-# claim bodies: generators of (binding, ok)
+# claim bodies: each returns (arity, guard, ok) over its bindings. A binding
+# (a,) is bit a and (a, b) bit a*n + b, so the lowest bit is the first
+# binding in lexicographic order; () is bit 0. ``guard`` holds the bindings
+# that are instances, ``ok`` those where the body holds (bits of ``ok``
+# outside ``guard`` are ignored).
 
-Body = Callable[[StructureAnalysis], Iterator[tuple[tuple[int, ...], bool]]]
+Body = Callable[[StructureAnalysis], tuple[int, int, int]]
 
 
-def _sided_pairs(ctx, both: bool):
-    """(a, b, a ^ b) for the pairs, in lexicographic order, where a ^ b exists
-    and a is a left ideal element and b a right ideal element (``both``), or
-    a is a left ideal element or b a right ideal element (not ``both``)."""
-    S = ctx.S
-    meet = S.meet_table
-    left = [c.left_ideal for c in ctx.classes]
-    right = [c.right_ideal for c in ctx.classes]
-    for a in S.elements():
-        if both and not left[a]:
-            continue
-        any_b = left[a] and not both
-        row = meet[a]
-        for b in S.elements():
-            if any_b or right[b]:
-                m = row[b]
-                if m is not None:
-                    yield a, b, m
+def _full(S) -> int:
+    return (1 << S.n) - 1
+
+
+def _star_image(S, mask: int) -> int:
+    """The elements whose star lies in ``mask``."""
+    star, out = S.star, 0
+    for c in BITS[mask]:
+        out |= 1 << star[c]
+    return out
+
+
+def _pairs_into(table, mask: int) -> int:
+    """The pairs (a, b) with table[a][b] in ``mask``."""
+    out = 0
+    for i, v in enumerate(chain.from_iterable(table)):
+        if mask >> v & 1:
+            out |= 1 << i
+    return out
 
 
 def _star_product_bound(both: bool, reverse: bool) -> Body:
-    """Body asserting a ^ b <= a*b* (b*a* when ``reverse``) over the sided
-    pairs of ``_sided_pairs(ctx, both)``."""
+    """Body asserting a ^ b <= a*b* (b*a* when ``reverse``) over the pairs
+    where a ^ b exists and a is a left ideal element and b a right ideal
+    element (``both``), or a is a left ideal element or b a right ideal
+    element (not ``both``)."""
     def body(ctx):
         S = ctx.S
-        mult, leq, star = S.mult, S.leq, S.star
-        for a, b, m in _sided_pairs(ctx, both):
-            x, y = (star[b], star[a]) if reverse else (star[a], star[b])
-            yield (a, b), leq[m][mult[x][y]]
+        n, mult, leq, star, meet = S.n, S.mult, S.leq, S.star, S.meet_table
+        left, right = ctx.flag_masks.left_ideal, ctx.flag_masks.right_ideal
+        guard = ok = 0
+        for a in BITS[left] if both else S.elements():
+            row, sa = meet[a], star[a]
+            for b in BITS[_full(S) if not both and left >> a & 1 else right]:
+                m = row[b]
+                if m is not None:
+                    guard |= 1 << a * n + b
+                    if leq[m][mult[star[b]][sa] if reverse else mult[sa][star[b]]]:
+                        ok |= 1 << a * n + b
+        return 2, guard, ok
     return body
 
 
-def _body_prop04(ctx):
-    for c in ctx.classes:
-        if c.star_right or c.star_left:
-            yield (c.element,), c.star_quasi is True
+def _flag_body(guard: Optional[tuple[str, ...]], holds: str) -> Body:
+    """Body asserting the classification flag ``holds`` at every element
+    with one of the flags ``guard`` (at every element when None)."""
+    def body(ctx):
+        flags = ctx.flag_masks
+        mask = _full(ctx.S) if guard is None else 0
+        for name in guard or ():
+            mask |= getattr(flags, name)
+        return 1, mask, getattr(flags, holds)
+    return body
 
 
-def _body_prop04_bi(ctx):
-    for c in ctx.classes:
-        if c.star_quasi is True:
-            yield (c.element,), c.star_bi is True
+_body_prop04 = _flag_body(("star_right", "star_left"), "star_quasi")
+_body_prop04_bi = _flag_body(("star_quasi",), "star_bi")
 
 
 def _body_prop05(ctx):
     S = ctx.S
-    star, join_t, meet_t = S.star, S.join_table, S.meet_table
-    for a in S.elements():
-        sa = star[a]
-        for b in S.elements():
-            j, m = join_t[a][b], meet_t[a][b]
-            if j is None and m is None:
-                continue
-            sb = star[b]
-            ok = ((j is None or star[j] == join_t[sa][sb])
-                  and (m is None or star[m] == meet_t[sa][sb]))
-            yield (a, b), ok
+    n, star = S.n, S.star
+    guard = bad = 0
+    for table in (S.join_table, S.meet_table):
+        for a, row in enumerate(table):
+            starred = table[star[a]]
+            for b, u in enumerate(row):
+                if u is not None:
+                    guard |= 1 << a * n + b
+                    if star[u] != starred[star[b]]:
+                        bad |= 1 << a * n + b
+    return 2, guard, ~bad
 
 
 def _body_prop06(ctx):
     S = ctx.S
-    mult, star = S.mult, S.star
+    mult = S.mult
     lft = [generated_left(S, x) for x in S.elements()]
     rgt = [generated_right(S, x) for x in S.elements()]
-    for a in S.elements():
-        sa = star[a]
-        ok = (mult[a][lft[sa]] == mult[rgt[a]][sa]
-              and mult[rgt[sa]][a] == mult[sa][lft[a]])
-        yield (a,), ok
+    ok = 0
+    for a, c in enumerate(S.star):
+        if mult[a][lft[c]] == mult[rgt[a]][c] and mult[rgt[c]][a] == mult[c][lft[a]]:
+            ok |= 1 << a
+    return 1, _full(S), ok
 
 
 def _body_prop07(ctx):
-    star = ctx.S.star
-    for c in ctx.classes:
-        cs = ctx.classes[star[c.element]]
-        ok = (c.left_ideal == cs.right_ideal
-              and c.right_ideal == cs.left_ideal
-              and c.quasi_ideal == cs.quasi_ideal)
-        yield (c.element,), ok
+    S, flags = ctx.S, ctx.flag_masks
+    differ = ((flags.left_ideal ^ _star_image(S, flags.right_ideal))
+              | (flags.right_ideal ^ _star_image(S, flags.left_ideal))
+              | (flags.quasi_meet ^ _star_image(S, flags.quasi_meet))
+              | (flags.quasi_ideal ^ _star_image(S, flags.quasi_ideal)))
+    return 1, _full(S), ~differ
 
 
 def _body_prop07_bi(ctx):
-    star = ctx.S.star
-    for c in ctx.classes:
-        yield (c.element,), c.bi_ideal == ctx.classes[star[c.element]].bi_ideal
+    S, bi = ctx.S, ctx.flag_masks.bi_ideal
+    return 1, _full(S), ~(bi ^ _star_image(S, bi))
 
 
 def _body_prop08(ctx):
-    S = ctx.S
-    e, mult, star, meet = S.e, S.mult, S.star, S.meet_table
-    for ca in ctx.classes:
-        if not ca.left_ideal:
-            continue
-        for cb in ctx.classes:
-            if not cb.right_ideal:
-                continue
-            m = meet[star[ca.element]][star[cb.element]]
-            if m is None or meet[mult[m][e]][mult[e][m]] is None:
-                continue
-            yield (ca.element, cb.element), ctx.classes[m].quasi_ideal is True
+    S, flags = ctx.S, ctx.flag_masks
+    n, star, meet = S.n, S.star, S.meet_table
+    guard = ok = 0
+    for a in BITS[flags.left_ideal]:
+        for b in BITS[flags.right_ideal]:
+            m = meet[star[a]][star[b]]
+            if m is not None and flags.quasi_meet >> m & 1:
+                guard |= 1 << a * n + b
+                if flags.quasi_ideal >> m & 1:
+                    ok |= 1 << a * n + b
+    return 2, guard, ok
 
 
 def _body_prop08_idem(ctx):
-    star = ctx.S.star
-    for c in ctx.classes:
-        if c.left_ideal or c.right_ideal:
-            yield (c.element,), ctx.classes[star[c.element]].idempotent
+    S, flags = ctx.S, ctx.flag_masks
+    return 1, flags.left_ideal | flags.right_ideal, _star_image(S, flags.idempotent)
 
 
 def _body_prop09(ctx):
-    S = ctx.S
-    mult, star = S.mult, S.star
-    right = [c.right_ideal for c in ctx.classes]
-    bi = [c.bi_ideal for c in ctx.classes]
+    S, right = ctx.S, ctx.flag_masks.right_ideal
+    n, full = S.n, _full(S)
+    guard = 0
     for a in S.elements():
-        row = mult[a]
-        for b in S.elements():
-            if right[a] or right[b]:
-                yield (a, b), bi[star[row[b]]]
+        guard |= (full if right >> a & 1 else right) << a * n
+    return 2, guard, _pairs_into(S.mult, _star_image(S, ctx.flag_masks.bi_ideal))
 
 
-def _body_ideals_star_semiprime(ctx):
-    for c in ctx.classes:
-        if c.two_sided_ideal:
-            yield (c.element,), c.star_semiprime is True
-
-
-def _body_ideals_semiprime(ctx):
-    for c in ctx.classes:
-        if c.two_sided_ideal:
-            yield (c.element,), c.semiprime
-
-
+_body_ideals_star_semiprime = _flag_body(("two_sided_ideal",), "star_semiprime")
+_body_ideals_semiprime = _flag_body(("two_sided_ideal",), "semiprime")
 _body_thm13_fwd = _star_product_bound(both=False, reverse=False)
 
 
 def _regularity_body(kind: str) -> Body:
     """Body asserting the ``kind`` regularity inequality at every a, read
-    from the failure list of ``regularity_profile``, where it is written."""
+    from the failure mask of ``regularity``, where it is written."""
     def body(ctx):
-        failures = getattr(ctx.profile, kind + "_failures")
-        for a in ctx.S.elements():
-            yield (a,), a not in failures
+        return 1, _full(ctx.S), ~getattr(ctx.failure_masks, kind)
     return body
 
 
@@ -277,95 +282,87 @@ def _squares_generate_body(starred: bool) -> Body:
     (by x*x* when ``starred``)."""
     def body(ctx):
         S = ctx.S
-        mult, star = S.mult, S.star
-        for x in S.elements():
-            y = star[x] if starred else x
-            yield (x,), in_ideal_generated(S, x, mult[y][y])
+        mult, ok = S.mult, 0
+        for x, y in enumerate(S.star if starred else S.elements()):
+            if in_ideal_generated(S, x, mult[y][y]):
+                ok |= 1 << x
+        return 1, _full(S), ok
     return body
 
 
 def _body_prop14(ctx):
     S = ctx.S
-    leq, star = S.leq, S.star
-    for a in S.elements():
-        sa = star[a]
-        ok = leq[a][generated_right(S, sa)] and leq[a][generated_left(S, sa)]
-        yield (a,), ok
+    leq, ok = S.leq, 0
+    for a, c in enumerate(S.star):
+        if leq[a][generated_right(S, c)] and leq[a][generated_left(S, c)]:
+            ok |= 1 << a
+    return 1, _full(S), ok
 
 
 def _prop15_body(guarded: bool) -> Body:
     """Body asserting a = a* for every left, right or bi-ideal element a
     (every a unless ``guarded``)."""
     def body(ctx):
-        star = ctx.S.star
-        for c in ctx.classes:
-            if not guarded or c.left_ideal or c.right_ideal or c.bi_ideal:
-                yield (c.element,), star[c.element] == c.element
+        S, flags = ctx.S, ctx.flag_masks
+        guard = flags.left_ideal | flags.right_ideal | flags.bi_ideal if guarded else _full(S)
+        fixed = 0
+        for a, c in enumerate(S.star):
+            if a == c:
+                fixed |= 1 << a
+        return 1, guard, fixed
     return body
 
 
 _body_prop15 = _prop15_body(guarded=True)
 
 
+def _right_left_pairs(S, flags) -> int:
+    """The pairs of a right ideal element and a left ideal element."""
+    guard = 0
+    for a in BITS[flags.right_ideal]:
+        guard |= flags.left_ideal << a * S.n
+    return guard
+
+
 def _body_prop16(ctx):
-    mult = ctx.S.mult
-    for ca in ctx.classes:
-        if not ca.right_ideal:
-            continue
-        for cb in ctx.classes:
-            if cb.left_ideal:
-                p = mult[ca.element][cb.element]
-                yield (ca.element, cb.element), ctx.classes[p].quasi_ideal is True
+    S, flags = ctx.S, ctx.flag_masks
+    return 2, _right_left_pairs(S, flags), _pairs_into(S.mult, flags.quasi_ideal)
 
 
 def _body_prop16_eq(ctx):
-    S = ctx.S
-    for ca in ctx.classes:
-        if not ca.right_ideal:
-            continue
-        for cb in ctx.classes:
-            if cb.left_ideal:
-                a, b = ca.element, cb.element
-                yield (a, b), S.meet_table[a][b] == S.mult[a][b]
+    S, ok = ctx.S, 0
+    meets, products = chain.from_iterable(S.meet_table), chain.from_iterable(S.mult)
+    for i, (m, p) in enumerate(zip(meets, products)):
+        if m == p:
+            ok |= 1 << i
+    return 2, _right_left_pairs(S, ctx.flag_masks), ok
 
 
-def _prop17_idem_body(guarded: bool) -> Body:
-    """Body asserting that every right or left ideal element is idempotent
-    (every element unless ``guarded``)."""
-    def body(ctx):
-        for c in ctx.classes:
-            if not guarded or c.right_ideal or c.left_ideal:
-                yield (c.element,), c.idempotent
-    return body
-
-
-_body_prop17_idem = _prop17_idem_body(guarded=True)
+_body_prop17_idem = _flag_body(("right_ideal", "left_ideal"), "idempotent")
 
 
 def _body_thm19(ctx):
     star_regular = ctx.outcome(_body_star_regular)[1] is None
-    yield (), star_regular == all(ctx.outcome(body)[1] is None
-                                  for body in CONDITIONS["prop18-conditions"])
+    conditions = all(ctx.outcome(body)[1] is None for body in CONDITIONS["prop18-conditions"])
+    return 0, 1, star_regular == conditions
 
 
 def _body_thm20(ctx):
-    S = ctx.S
-    mult, star = S.mult, S.star
-    for c in ctx.classes:
-        if c.star_bi is True:
-            b = c.element
-            sb = star[b]
-            yield (b,), mult[generated_right(S, sb)][generated_left(S, sb)] == b
+    S, star_bi = ctx.S, ctx.flag_masks.star_bi
+    mult, star, ok = S.mult, S.star, 0
+    for b in BITS[star_bi]:
+        if mult[generated_right(S, star[b])][generated_left(S, star[b])] == b:
+            ok |= 1 << b
+    return 1, star_bi, ok
 
 
 def _body_thm20_eq(ctx):
-    S = ctx.S
-    e, mult, star = S.e, S.mult, S.star
-    for c in ctx.classes:
-        if c.star_bi is True:
-            b = c.element
-            sb = star[b]
-            yield (b,), mult[mult[sb][e]][sb] == b
+    S, star_bi = ctx.S, ctx.flag_masks.star_bi
+    e, mult, star, ok = S.e, S.mult, S.star, 0
+    for b in BITS[star_bi]:
+        if mult[mult[star[b]][e]][star[b]] == b:
+            ok |= 1 << b
+    return 1, star_bi, ok
 
 
 _body_thm22_fwd = _star_product_bound(both=True, reverse=True)
@@ -375,13 +372,16 @@ def _prop23_body(starred: bool) -> Body:
     """Body asserting e a b e = e b* a* e (e b a e unless ``starred``)."""
     def body(ctx):
         S = ctx.S
-        e, mult, star = S.e, S.mult, S.star
-        row_e = mult[e]
-        for a in S.elements():
-            ea = mult[row_e[a]]
-            for b in S.elements():
-                x, y = (star[b], star[a]) if starred else (b, a)
-                yield (a, b), mult[ea[b]][e] == mult[mult[row_e[x]][y]][e]
+        n, e, mult = S.n, S.e, S.mult
+        eabe = [mult[p][e] for ea in mult[e] for p in mult[ea]]  # e a b e at a*n + b
+        order = S.star if starred else S.elements()
+        ok = i = 0
+        for x in order:
+            for y in order:
+                if eabe[i] == eabe[y * n + x]:  # e b* a* e (e b a e)
+                    ok |= 1 << i
+                i += 1
+        return 2, (1 << n * n) - 1, ok
     return body
 
 
@@ -389,23 +389,22 @@ _body_prop23 = _prop23_body(starred=True)
 
 
 def _body_thm26_fwd(ctx):
-    for x in ctx.S.elements():
-        yield (x,), ctx.filter_members[x] == ctx.windows[x]
+    ok = 0
+    for x, (members, window) in enumerate(zip(ctx.filter_masks, ctx.window_masks)):
+        if members == window:
+            ok |= 1 << x
+    return 1, _full(ctx.S), ok
 
 
 def _body_prop27(ctx):
-    S = ctx.S
-    e, mult, leq, star = S.e, S.mult, S.leq, S.star
-    blocks = ctx.partition.blocks
-    block_of = [None] * S.n
-    for blk in blocks:
-        for y in blk:
-            block_of[y] = blk
-    row_e = mult[e]
-    for x in S.elements():
-        t = mult[row_e[star[x]]][e]
-        ok = t in block_of[star[x]] and all(leq[y][t] for y in block_of[x])
-        yield (x,), ok
+    S, block = ctx.S, ctx.filter_classes
+    e, mult, down = S.e, S.mult, S.down_masks
+    ok = 0
+    for x, c in enumerate(S.star):
+        t = mult[mult[e][c]][e]
+        if block[c] >> t & 1 and not block[x] & ~down[t]:
+            ok |= 1 << x
+    return 1, _full(S), ok
 
 
 # mutants: deliberately corrupted variants used to prove the harness can fail,
@@ -414,14 +413,13 @@ def _body_prop27(ctx):
 _body_mut_prop23_nostar = _prop23_body(starred=False)
 _body_mut_thm13_swapped = _star_product_bound(both=False, reverse=True)
 _body_mut_prop15_all = _prop15_body(guarded=False)
-_body_mut_prop17_all_idem = _prop17_idem_body(guarded=False)
+_body_mut_prop17_all_idem = _flag_body(None, "idempotent")
 
 
 def _body_mut_prop07_noswap(ctx):
     # one conjunct of prop07's conclusion, not prop07 with a flag changed
-    star = ctx.S.star
-    for c in ctx.classes:
-        yield (c.element,), c.left_ideal == ctx.classes[star[c.element]].left_ideal
+    S, left = ctx.S, ctx.flag_masks.left_ideal
+    return 1, _full(S), ~(left ^ _star_image(S, left))
 
 
 # ---------------------------------------------------------------------------
@@ -709,16 +707,16 @@ def check_all(S: OrderedAlgebra,
 
 
 def replay_counterexample(S: OrderedAlgebra, report: ClaimReport) -> bool:
-    """Re-evaluate a failed claim body at the reported witness; True when the
-    witness still violates the claim."""
+    """Re-evaluate a failed claim body and test the reported witness's
+    binding; True when the witness is an instance that violates the claim."""
     if report.status != FAIL or report.counterexample is None:
         raise ValueError("report carries no counterexample")
-    d = _lookup(report.claim_id)
-    ctx = StructureAnalysis(S)
-    for binding, ok in d.body(ctx):
-        if tuple(binding) == report.counterexample:
-            return not ok
-    return False
+    arity, guard, ok = _lookup(report.claim_id).body(StructureAnalysis(S))
+    witness = report.counterexample
+    if len(witness) != arity or not all(0 <= x < S.n for x in witness):
+        return False
+    bit = sum(x * S.n ** k for k, x in enumerate(reversed(witness)))
+    return bool(guard >> bit & 1 and not ok >> bit & 1)
 
 
 def report_record(report: ClaimReport, S: Optional[OrderedAlgebra] = None) -> dict:

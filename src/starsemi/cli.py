@@ -23,7 +23,7 @@ from .fileformat import FormatError, load_structure, serialize_structure
 from .ideals import ElementClassification, classify_all
 from .regularity import regularity_profile
 from .structure import (
-    ALL_TIERS, INVOLUTION, PO_GROUPOID, POE, StructureError,
+    ALL_TIERS, BITS, INVOLUTION, PO_GROUPOID, POE, StructureError,
     tier_closure, transitive_reduction_pairs, validate_structure,
 )
 
@@ -145,9 +145,12 @@ def _cmd_classify(args, out):
 
 def _select_claims(text: str):
     try:
-        return expand_claim_ids(t for t in text.split(","))
+        ids = expand_claim_ids(t for t in text.split(","))
     except ValueError as exc:
         raise _Failure(str(exc), EXIT_USAGE) from None
+    if not ids:
+        raise _Failure(f"no claim selected by --claims {text!r}", EXIT_USAGE)
+    return ids
 
 
 def _cmd_check(args, out):
@@ -182,9 +185,10 @@ def _cmd_filters(args, out):
     ctx = StructureAnalysis(S)
     has_window = S.has(INVOLUTION) and S.e is not None
     rows = [{"element": S.label(x),
-             "filter": sorted(S.label(y) for y in members),
-             "window": sorted(S.label(y) for y in ctx.windows[x]) if has_window else None}
-            for x, members in enumerate(ctx.filter_members)]
+             "filter": sorted(S.label(y) for y in BITS[members]),
+             "window": (sorted(S.label(y) for y in BITS[ctx.window_masks[x]])
+                        if has_window else None)}
+            for x, members in enumerate(ctx.filter_masks)]
     part = ctx.partition
     blocks = [{"members": sorted(S.label(y) for y in blk),
                "greatest": S.label(g) if g is not None else None}
@@ -206,7 +210,7 @@ def _cmd_filters(args, out):
 def _cmd_search(args, out):
     tiers = _parse_tiers(args.tiers) if args.tiers else frozenset({POE, INVOLUTION})
     spec = ModelSpec(order=args.order, required_tiers=tiers, limit=args.limit)
-    report, models = _sweep(spec, _select_claims(args.claims) if args.claims else ())
+    report, models = _sweep(spec, () if args.claims is None else _select_claims(args.claims))
     if args.out:
         write_catalog(models, args.out)  # the whole stream, past a counterexample too
     else:

@@ -60,9 +60,10 @@ CANONICAL_MAX_ORDER = 8
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Enumeration request. ``required_tiers`` is closed under prerequisites
-    and always includes the po-semigroup tier (the search space is associative
-    tables). ``limit`` caps the emitted stream."""
+    """Enumeration request, refused past ``EXHAUSTIVE_MAX_ORDER``.
+    ``required_tiers`` is closed under prerequisites and always includes the
+    po-semigroup tier (the search space is associative tables). ``limit``
+    caps the emitted stream."""
 
     order: int
     required_tiers: frozenset[str] = frozenset()
@@ -71,6 +72,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if self.order > EXHAUSTIVE_MAX_ORDER:
+            raise ValueError(
+                f"exhaustive enumeration is limited to order <= {EXHAUSTIVE_MAX_ORDER}")
         if self.limit is not None and self.limit < 0:
             raise ValueError("limit must be >= 0")
         tiers = tier_closure(self.required_tiers) | {PO_GROUPOID, PO_SEMIGROUP}
@@ -687,8 +691,6 @@ def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
     """Exactly one representative per isomorphism class of models with the
     requested tiers; deterministic order."""
     n = spec.order
-    if n > EXHAUSTIVE_MAX_ORDER:
-        raise ValueError(f"exhaustive enumeration is limited to order <= {EXHAUSTIVE_MAX_ORDER}")
     tiers = spec.required_tiers
     want_star = INVOLUTION in tiers
     if spec.limit == 0:

@@ -3,10 +3,11 @@
 The filter generated by x is computed by saturation under the three filter
 closure rules (products, upward closure, divisor extraction) on the up-set and
 divisor bitmasks that the structure caches; the exponential subset-intersection
-oracle exists solely to certify the saturation. The class partition is built
-from the list of per-element filters by a helper that a caller already holding
-that list (``claims.StructureAnalysis``, the ``filters`` command) uses without
-saturating again.
+oracle exists solely to certify the saturation. Each fact is computed as
+bitmasks, the filter and the window of every element and the filter class of
+every element, and the public functions return those masks as sets; the
+claim checks (``claims.StructureAnalysis``) and the ``filters`` command read
+the masks directly, so the partition costs no second saturation.
 """
 
 from __future__ import annotations
@@ -44,14 +45,20 @@ class NClassPartition:
 
 
 def filter_generated(S: OrderedAlgebra, x: int) -> FilterSet:
-    """Saturate {x} under product, upward and divisor-extraction closure.
+    """Saturate {x} under product, upward and divisor-extraction closure."""
+    return FilterSet(generator=x, members=frozenset(BITS[_saturate(S, x)]))
+
+
+def _saturate(S: OrderedAlgebra, x: int) -> int:
+    """The members of the filter generated by x, as a bitmask.
 
     Each pass adds the products of the members, then the up-set and the
     divisors of each element of the result, on the bitmasks of ``S``, until
-    a pass adds nothing."""
+    a pass adds nothing or every element is a member."""
     mult, up, div = S.mult, S.up_masks, S.divisor_masks
+    full = (1 << S.n) - 1
     members = 1 << x
-    while True:
+    while members != full:
         new = members
         elems = BITS[members]
         for a in elems:
@@ -63,7 +70,12 @@ def filter_generated(S: OrderedAlgebra, x: int) -> FilterSet:
         if new == members:
             break
         members = new
-    return FilterSet(generator=x, members=frozenset(BITS[members]))
+    return members
+
+
+def _filter_masks(S: OrderedAlgebra) -> tuple[int, ...]:
+    """The member mask of the filter generated by each element."""
+    return tuple(_saturate(S, x) for x in S.elements())
 
 
 def is_filter(S: OrderedAlgebra, members: frozenset[int]) -> bool:
@@ -105,31 +117,47 @@ def filter_oracle(S: OrderedAlgebra, x: int) -> frozenset[int]:
 def thm26_set(S: OrderedAlgebra, x: int) -> frozenset[int]:
     """The set {y | x <= e y* e}, the claimed description of the filter of x
     on star-intra-regular structures (see claims thm26-fwd/thm26-conv)."""
+    return frozenset(BITS[_window_masks(S)[x]])
+
+
+def _window_masks(S: OrderedAlgebra) -> tuple[int, ...]:
+    """The mask of {y | x <= e y* e} for each x: y joins the window of every
+    x below e y* e."""
     if S.e is None:
         raise ValueError("thm26_set needs a structure with a greatest element")
     if not S.has(INVOLUTION):
         raise ValueError("thm26_set needs an involution")
-    e, mult, star = S.e, S.mult, S.star
-    row_e, above_x = mult[e], S.leq[x]
-    return frozenset(y for y in range(S.n) if above_x[mult[row_e[star[y]]][e]])
+    e, mult, star, down = S.e, S.mult, S.star, S.down_masks
+    row_e = mult[e]
+    out = [0] * S.n
+    for y, c in enumerate(star):
+        for x in BITS[down[mult[row_e[c]][e]]]:
+            out[x] |= 1 << y
+    return tuple(out)
 
 
 def n_class_partition(S: OrderedAlgebra) -> NClassPartition:
     """Group elements by equality of their generated filters."""
-    return _partition(S, [filter_generated(S, x).members for x in S.elements()])
+    return _partition(S, _filter_classes(_filter_masks(S)))
 
 
-def _partition(S: OrderedAlgebra, filters) -> NClassPartition:
-    """The partition of the elements by equal entries of ``filters``, the
-    generated filter of each element in element order."""
-    by_filter: dict[frozenset[int], set[int]] = {}
+def _filter_classes(filters) -> tuple[int, ...]:
+    """For each element, the mask of the elements whose entry of ``filters``
+    (the generated filter of each element, in element order) equals its own."""
+    same: dict[int, int] = {}
     for x, members in enumerate(filters):
-        by_filter.setdefault(members, set()).add(x)
-    blocks = tuple(sorted((frozenset(b) for b in by_filter.values()), key=min))
+        same[members] = same.get(members, 0) | 1 << x
+    return tuple(same[members] for members in filters)
+
+
+def _partition(S: OrderedAlgebra, classes) -> NClassPartition:
+    """The partition whose blocks are the entries of ``classes``, each
+    block's greatest element read from the down-set masks."""
     down = S.down_masks
+    blocks = tuple(dict.fromkeys(classes))  # ordered by least member
     greatest = []
-    for blk in blocks:
-        mask = sum(1 << y for y in blk)
-        tops = [g for g in blk if not mask & ~down[g]]
+    for mask in blocks:
+        tops = [g for g in BITS[mask] if not mask & ~down[g]]
         greatest.append(tops[0] if tops else None)
-    return NClassPartition(blocks=blocks, block_greatest=tuple(greatest))
+    return NClassPartition(blocks=tuple(frozenset(BITS[mask]) for mask in blocks),
+                           block_greatest=tuple(greatest))

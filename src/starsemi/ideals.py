@@ -5,7 +5,8 @@ membership. All operations assume a structure with a greatest element."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .structure import INVOLUTION, OrderedAlgebra
 
@@ -68,66 +69,111 @@ def in_ideal_generated(S: OrderedAlgebra, x: int, a: int) -> bool:
     return above_x[a] or above_x[ea] or above_x[mult[a][e]] or above_x[mult[ea][e]]
 
 
-def _classifier(S: OrderedAlgebra):
-    """The per-element classification of S, as a function of the element.
+class _FlagMasks(NamedTuple):
+    """The classification of every element at once: bit a of a mask is the
+    flag of element a. A tri-state flag takes two masks, ``*_meet`` (the
+    meet exists) and the flag itself (the inequality holds, so the meet
+    exists). The ``star_*`` masks are None without the involution tier."""
 
-    It reads the tables directly. Semiprimality (t t <= a implies t <= a) is
-    decided for every a at once: t witnesses a failure exactly for the a in
-    the up-set of t t minus the up-set of t."""
+    idempotent: int
+    left_ideal: int
+    right_ideal: int
+    two_sided_ideal: int
+    quasi_meet: int
+    quasi_ideal: int
+    bi_ideal: int
+    semiprime: int
+    star_left: Optional[int]
+    star_right: Optional[int]
+    star_quasi_meet: Optional[int]
+    star_quasi: Optional[int]
+    star_bi: Optional[int]
+    star_semiprime: Optional[int]
+
+
+def _flag_masks(S: OrderedAlgebra) -> _FlagMasks:
+    """Every flag of every element: the plain flags test a through a itself,
+    the starred ones through a*."""
     e = _require_top(S)
-    mult, leq, meet = S.mult, S.leq, S.meet_table
-    star = S.star if S.has(INVOLUTION) else None
-    up = S.up_masks
+    idem = sum(1 << a for a, row in enumerate(S.mult) if row[a] == a)
+    left, right, quasi_meet, quasi, bi, semiprime = _sided_masks(S, e, S.elements())
+    flags = _FlagMasks(idem, left, right, left & right, quasi_meet, quasi, bi, semiprime,
+                       None, None, None, None, None, None)
+    if not S.has(INVOLUTION):
+        return flags
+    sl, sr, sq_meet, sq, sbi, ssp = _sided_masks(S, e, S.star)
+    return flags._replace(star_left=sl, star_right=sr, star_quasi_meet=sq_meet,
+                          star_quasi=sq, star_bi=sbi, star_semiprime=ssp)
+
+
+def _sided_masks(S: OrderedAlgebra, e: int, through) -> tuple[int, ...]:
+    """With c = through[a]: the masks of e c <= a, c e <= a, the meet of c e
+    and e c existing, that meet <= a, (c e) c <= a, and semiprimality of a
+    (t t <= a implies t <= a, with c c for t t). Bit x of ``down_masks[a]``
+    is x <= a; semiprimality fails for a exactly when some t has a in the
+    up-set of t t and not in the up-set of t."""
+    mult, meet, up, down = S.mult, S.meet_table, S.up_masks, S.down_masks
     row_e = mult[e]
-    not_semiprime = 0
-    for t in S.elements():
-        not_semiprime |= up[mult[t][t]] & ~up[t]
-    not_star_semiprime = 0
-    if star is not None:
-        for t in S.elements():
-            c = star[t]
-            not_star_semiprime |= up[mult[c][c]] & ~up[t]
+    left = right = quasi_meet = quasi = bi = not_semiprime = 0
+    for a, c in enumerate(through):
+        bit, below, row_c = 1 << a, down[a], mult[c]
+        ce, ec = row_c[e], row_e[c]
+        if below >> ec & 1:
+            left |= bit
+        if below >> ce & 1:
+            right |= bit
+        m = meet[ce][ec]
+        if m is not None:
+            quasi_meet |= bit
+            if below >> m & 1:
+                quasi |= bit
+        if below >> mult[ce][c] & 1:
+            bi |= bit
+        not_semiprime |= up[row_c[c]] & ~up[a]
+    return left, right, quasi_meet, quasi, bi, (1 << S.n) - 1 & ~not_semiprime
 
-    def classify(a: int) -> ElementClassification:
-        below_a = [row[a] for row in leq]
-        ae = mult[a][e]
-        ea = row_e[a]
-        left = below_a[ea]
-        right = below_a[ae]
-        m = meet[ae][ea]
-        star_left = star_right = star_quasi = star_bi = star_semiprime = None
-        if star is not None:
-            c = star[a]
-            ce, ec = mult[c][e], row_e[c]
-            star_right = below_a[ce]
-            star_left = below_a[ec]
-            sm = meet[ce][ec]
-            star_quasi = None if sm is None else below_a[sm]
-            star_bi = below_a[mult[ce][c]]
-            star_semiprime = not not_star_semiprime >> a & 1
-        return ElementClassification(
-            element=a,
-            idempotent=mult[a][a] == a,
-            left_ideal=left,
-            right_ideal=right,
-            two_sided_ideal=left and right,
-            quasi_ideal=None if m is None else below_a[m],
-            bi_ideal=below_a[mult[ae][a]],
-            star_left=star_left,
-            star_right=star_right,
-            star_quasi=star_quasi,
-            star_bi=star_bi,
-            semiprime=not not_semiprime >> a & 1,
-            star_semiprime=star_semiprime,
-        )
 
-    return classify
+def _flags_of(masks: _FlagMasks, a: int) -> ElementClassification:
+    """The flags of a: each is bit a of its mask, and a tri-state flag is
+    None where its meet does not exist."""
+    flags = {}
+    for name in ElementClassification.FLAG_NAMES:
+        mask = getattr(masks, name)
+        flags[name] = None if mask is None else bool(mask >> a & 1)
+    for name, meet in (("quasi_ideal", masks.quasi_meet), ("star_quasi", masks.star_quasi_meet)):
+        if meet is not None and not meet >> a & 1:
+            flags[name] = None
+    return _record(element=a, **flags)
+
+
+# Records are immutable, so equal ones are one object: the 51,000 elements of
+# the 10,200 order-5 involution-poe models have 92 distinct records, and the
+# models 706 distinct classifications.
+_record = lru_cache(maxsize=1024)(ElementClassification)
+
+
+@lru_cache(maxsize=4096)
+def _records(masks: _FlagMasks, n: int) -> tuple[ElementClassification, ...]:
+    """The records of elements 0..n-1 read from ``masks``."""
+    return tuple(_flags_of(masks, a) for a in range(n))
+
+
+class _Classification(tuple):
+    """The records that ``classify_all`` returns, with the flag masks they
+    were read from (``masks``), which the claim checks read."""
+
+    masks: _FlagMasks
 
 
 def classify_element(S: OrderedAlgebra, a: int) -> ElementClassification:
     """Decide every element-level predicate for a by direct table checks."""
-    return _classifier(S)(a)
+    if a not in S.elements():
+        raise ValueError(f"no element {a} in a structure of order {S.n}")
+    return _records(_flag_masks(S), S.n)[a]
 
 
 def classify_all(S: OrderedAlgebra) -> tuple[ElementClassification, ...]:
-    return tuple(map(_classifier(S), S.elements()))
+    masks = _flag_masks(S)
+    out = _Classification(_records(masks, S.n))
+    out.masks = masks
+    return out

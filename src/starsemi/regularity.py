@@ -8,9 +8,9 @@ independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .structure import INVOLUTION, OrderedAlgebra
+from .structure import BITS, INVOLUTION, OrderedAlgebra
 
 
 @dataclass(frozen=True)
@@ -28,31 +28,54 @@ class RegularityProfile:
     star_intra_regular_failures: Optional[tuple[int, ...]]
 
 
-def regularity_profile(S: OrderedAlgebra) -> RegularityProfile:
+class _Failures(NamedTuple):
+    """The failing elements of each property as a bitmask; the star masks
+    are None without the involution tier."""
+
+    regular: int
+    intra_regular: int
+    star_regular: Optional[int]
+    star_intra_regular: Optional[int]
+
+
+def _failure_masks(S: OrderedAlgebra) -> _Failures:
+    """Each property is a <= f(a) for every a; its failures are the a whose
+    up-set misses f(a): a e a, e a a e, a* e a* and e a* a* e, read from the
+    table."""
     if S.e is None:
         raise ValueError("regularity needs a structure with a greatest element")
-    e, mult, leq = S.e, S.mult, S.leq
-    # (a e) a, ((e a) a) e, (a* e) a* and ((e a*) a*) e, read from the table
-    reg_fail = tuple(a for a in S.elements() if not leq[a][mult[mult[a][e]][a]])
-    intra_fail = tuple(a for a in S.elements() if not leq[a][mult[mult[mult[e][a]][a]][e]])
+    e, mult, up = S.e, S.mult, S.up_masks
+    row_e = mult[e]
+    reg = intra = 0
+    for a, row_a in enumerate(mult):
+        ua = up[a]
+        if not ua >> mult[row_a[e]][a] & 1:
+            reg |= 1 << a
+        if not ua >> mult[mult[row_e[a]][a]][e] & 1:
+            intra |= 1 << a
+    if not S.has(INVOLUTION):
+        return _Failures(reg, intra, None, None)
+    star = S.star
+    sreg = sintra = 0
+    for a, c in enumerate(star):
+        ua = up[a]
+        if not ua >> mult[mult[c][e]][c] & 1:
+            sreg |= 1 << a
+        if not ua >> mult[mult[row_e[c]][c]][e] & 1:
+            sintra |= 1 << a
+    return _Failures(reg, intra, sreg, sintra)
 
-    if S.has(INVOLUTION):
-        star = S.star
-        sreg_fail: Optional[tuple[int, ...]] = tuple(
-            a for a in S.elements() if not leq[a][mult[mult[star[a]][e]][star[a]]])
-        sintra_fail: Optional[tuple[int, ...]] = tuple(
-            a for a in S.elements()
-            if not leq[a][mult[mult[mult[e][star[a]]][star[a]]][e]])
-    else:
-        sreg_fail = sintra_fail = None
 
+def regularity_profile(S: OrderedAlgebra) -> RegularityProfile:
+    reg, intra, sreg, sintra = (None if mask is None else BITS[mask]
+                                for mask in _failure_masks(S))
     return RegularityProfile(
-        regular=not reg_fail,
-        intra_regular=not intra_fail,
-        star_regular=None if sreg_fail is None else not sreg_fail,
-        star_intra_regular=None if sintra_fail is None else not sintra_fail,
-        regular_failures=reg_fail,
-        intra_regular_failures=intra_fail,
-        star_regular_failures=sreg_fail,
-        star_intra_regular_failures=sintra_fail,
+        regular=not reg,
+        intra_regular=not intra,
+        star_regular=None if sreg is None else not sreg,
+        star_intra_regular=None if sintra is None else not sintra,
+        regular_failures=reg,
+        intra_regular_failures=intra,
+        star_regular_failures=sreg,
+        star_intra_regular_failures=sintra,
     )

@@ -10,8 +10,8 @@ from contextlib import contextmanager
 from starsemi import (
     INVOLUTION, PO_SEMIGROUP, POE,
     ModelSpec, StructureAnalysis, canonical_form, check_claim, enumerate_models,
-    filter_generated, filter_oracle, list_claims, n_class_partition, regularity_profile,
-    search_counterexample, thm26_set, validate_structure,
+    filter_generated, filter_oracle, list_claims, list_mutants, n_class_partition,
+    regularity_profile, search_counterexample, thm26_set, validate_structure,
 )
 from starsemi.claims import FAIL
 from starsemi.cli import run as cli_run
@@ -44,9 +44,11 @@ MUTANT_OUTCOMES = {
 
 # Criterion 2 fingerprints of the order-5 involution-poe catalog: its canonical
 # digests, and its per-model verdict records (digest, claim id, status,
-# instances checked, vacuous) over the registered claims
+# instances checked, vacuous) over the registered claims, and the same records
+# over the mutants
 CATALOG_5_FINGERPRINT = "v2-31cea26995317ba20da382ef53c8e8df9b84abcb4aad60a315b166e633b1c202"
 VERDICTS_5_FINGERPRINT = "v2-1e71955b5209360bbe618066ac25007167e36a48b0c6d1f8751ef095b8dce492"
+MUTANTS_5_FINGERPRINT = "v2-d7c2ad9222b2fe88e0132237e60ea0052e143378cd327de4ab3244eabb5c2907"
 
 
 @contextmanager
@@ -107,7 +109,8 @@ def test_criterion_2_exhaustive_claim_sweep(catalog_5):
         # order 5 on the catalog that criterion 4 also reads
         assert len(catalog_5) == 10200
         ids = [c.id for c in list_claims()]
-        digests, verdicts = [], []
+        mutant_ids = [c.id for c in list_mutants()]
+        digests, verdicts, mutants = [], [], []
         for S in catalog_5:
             digest = canonical_form(S).digest
             digests.append(digest)
@@ -117,8 +120,14 @@ def test_criterion_2_exhaustive_claim_sweep(catalog_5):
                 assert rep.status != FAIL, (cid, S.raw)
                 verdicts.append(f"{digest} {cid} {rep.status} {rep.instances_checked} "
                                 f"{rep.vacuous}")
+            for cid in mutant_ids:
+                rep = check_claim(S, cid, ctx)
+                mutants.append(f"{digest} {cid} {rep.status} {rep.instances_checked} "
+                               f"{rep.vacuous}")
         assert fingerprint(digests) == CATALOG_5_FINGERPRINT
         assert fingerprint(verdicts) == VERDICTS_5_FINGERPRINT
+        assert len(mutants) == 61200
+        assert fingerprint(mutants) == MUTANTS_5_FINGERPRINT
 
 
 class _Discard:

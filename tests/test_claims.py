@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from starsemi import (
     regularity_profile, replay_counterexample, report_record, search_counterexample,
     thm26_set, validate_structure,
 )
-from starsemi.claims import CONDITIONS, FAIL, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP
+from starsemi.claims import CONDITIONS, FAIL, ClaimReport, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP
 from starsemi.fileformat import load_structure
 
 from conftest import STRUCTURES
@@ -292,16 +293,77 @@ def test_outcome_runs_each_body_once():
 
     def body(ctx):
         runs.append(ctx.S)
-        yield (0,), True
-        yield (1,), False
-        yield (0,), False
+        return 1, 0b11, 0b01  # two instances, element 1 fails
 
     ctx = StructureAnalysis(S)
-    assert ctx.outcome(body) == (3, (1,))
-    assert ctx.outcome(body) == (3, (1,))
+    assert ctx.outcome(body) == (2, (1,))
+    assert ctx.outcome(body) == (2, (1,))
     assert runs == [S]
-    assert StructureAnalysis(S).outcome(body) == (3, (1,))
+    assert StructureAnalysis(S).outcome(body) == (2, (1,))
     assert runs == [S, S]
+
+
+def _bindings(n, arity):
+    """Every binding of the arity in lexicographic order: bit i is entry i."""
+    return list(itertools.product(range(n), repeat=arity))
+
+
+@pytest.mark.parametrize("arity", [0, 1, 2])
+def test_outcome_is_the_guard_popcount_and_the_lowest_failing_binding(arity):
+    S, _ = one_point() if arity == 0 else example2()  # example2 has 5 elements
+    bindings = _bindings(S.n, arity)
+    every = (1 << len(bindings)) - 1
+    last = len(bindings) - 1
+    # (guard, ok) -> (instances, witness index or None)
+    cases = [
+        ((0, 0), (0, None)),                          # vacuous: no instance
+        ((0, every), (0, None)),                      # ok bits outside the guard
+        ((every, every), (len(bindings), None)),
+        ((every, every & ~1), (len(bindings), 0)),    # fails at the first binding
+        ((every, every >> 1), (len(bindings), last)),  # fails at the last binding
+        ((every, 0), (len(bindings), 0)),
+    ]
+    if arity:
+        odd = sum(1 << i for i in range(1, len(bindings), 2))
+        cases += [
+            ((odd, 0), (len(bindings) // 2, 1)),       # the lowest bit of the guard
+            ((odd, odd | 1), (len(bindings) // 2, None)),
+            ((1 << last, 1 << last), (1, None)),
+        ]
+    for (guard, ok), (instances, index) in cases:
+        ctx = StructureAnalysis(S)
+        got = ctx.outcome(lambda _ctx: (arity, guard, ok))
+        assert got == (instances, None if index is None else bindings[index]), (guard, ok)
+
+
+def test_replay_tests_the_witness_binding():
+    raw = load_structure(STRUCTURES / "thm13_conv_swapped_counterexample.txt")
+    S, _ = validate_structure(raw)
+    rep = check_claim(S, "mut-thm13-conv-swapped")
+    assert rep.status == FAIL and rep.counterexample == (0,)
+    assert replay_counterexample(S, rep)
+    passing = [a for a in S.elements() if S.le(a, S.prod(a, S.e, a))]  # a <= a e a
+    assert passing and 0 not in passing
+    for a in passing:
+        assert not replay_counterexample(S, dataclasses.replace(rep, counterexample=(a,)))
+
+
+def test_replay_tests_pair_bindings(catalog_upto_3):
+    # replay evaluates the body without the hypothesis gate, so prop16-eq's
+    # body (a ^ b = ab for a right and b left ideal element) can be replayed
+    # where it fails
+    seen = set()
+    for S in catalog_upto_3:
+        flags = oracle_classify(S)
+        rep = ClaimReport("prop16-eq", FAIL, counterexample=(0, 0), variables=("a", "b"))
+        for a, b in _bindings(S.n, 2):
+            instance = flags[a]["right_ideal"] and flags[b]["left_ideal"]
+            holds = scan_meet(S, a, b) == S.mult[a][b]
+            seen.add((instance, holds))
+            assert replay_counterexample(
+                S, dataclasses.replace(rep, counterexample=(a, b))) == (instance and not holds)
+        assert not replay_counterexample(S, dataclasses.replace(rep, counterexample=(0,)))
+    assert {(True, True), (True, False), (False, True), (False, False)} <= seen
 
 
 def test_analysis_of_another_structure_is_rejected():

@@ -247,6 +247,24 @@ def test_negative_limit_exit_two(argv):
     assert code == 2 and out == ""
 
 
+def test_search_past_the_order_bound_writes_nothing(tmp_path):
+    out_dir = tmp_path / "catalog"
+    code, out = run_cli("search", "--order", "7", "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", str(STRUCTURES / "chain2.txt"), "--claims", ""),
+    ("check", str(STRUCTURES / "chain2.txt"), "--claims", "", "--json"),
+    ("search", "--order", "2", "--claims", ","),
+    ("search", "--order", "2", "--claims", ""),
+])
+def test_empty_claim_selection_exit_two(argv):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+
+
 def test_candidate_file_validates_with_poe():
     code, out = run_cli("validate", str(STRUCTURES / "example2_candidate_order.txt"),
                         "--expect", "involution,poe,po-semigroup")

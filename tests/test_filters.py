@@ -131,12 +131,21 @@ def test_saturation_members_match_the_set_oracle(catalog_upto_4):
             assert filter_generated(S, x).members == oracle_filter_saturation(S, x)
 
 
+def _members(mask):
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _assert_analysis_matches_public_functions(S):
+    # the analysis keeps each fact as bitmasks, one per element
     ctx = StructureAnalysis(S)
-    assert ctx.filter_members == tuple(filter_generated(S, x).members for x in S.elements())
-    assert ctx.partition == n_class_partition(S)
+    assert [_members(m) for m in ctx.filter_masks] == [
+        filter_generated(S, x).members for x in S.elements()]
+    part = n_class_partition(S)
+    assert [_members(m) for m in ctx.filter_classes] == [
+        part.blocks[part.block_of(x)] for x in S.elements()]
+    assert ctx.partition == part
     if S.e is not None and S.has(INVOLUTION):
-        assert ctx.windows == tuple(thm26_set(S, x) for x in S.elements())
+        assert [_members(m) for m in ctx.window_masks] == [thm26_set(S, x) for x in S.elements()]
 
 
 def test_analysis_caches_equal_public_functions_on_catalog(catalog_upto_4):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starsemi import (
-    INVOLUTION, PO_SEMIGROUP, POE, VEE, ElementClassification, RawStructure,
+    INVOLUTION, PO_SEMIGROUP, POE, VEE, ElementClassification, RawStructure, StructureAnalysis,
     classify_all, classify_element, generated_left, generated_right, in_ideal_generated,
     validate_structure,
 )
@@ -27,6 +27,14 @@ def brute_least_right_ideal_above(S, a):
                   if S.le(a, x) and S.le(S.prod(x, S.e), x)]
     least = [x for x in candidates if all(S.le(x, y) for y in candidates)]
     return least[0] if len(least) == 1 else None
+
+
+def test_classify_element_refuses_an_element_outside_the_structure():
+    S, _ = chain2()
+    assert classify_element(S, 1).element == 1
+    for a in (2, -1):
+        with pytest.raises(ValueError):
+            classify_element(S, a)
 
 
 def test_generated_on_chain2():
@@ -188,6 +196,22 @@ def test_classify_all_matches_table_oracle_on_catalog(catalog_upto_4):
     for S in catalog_upto_4:
         assert _flags(S) == oracle_classify(S)
         assert [classify_element(S, a) for a in S.elements()] == list(classify_all(S))
+
+
+def test_analysis_flag_masks_agree_with_classify_all(catalog_upto_4):
+    # the claim checks read these masks; a tri-state flag is None where its meet is missing
+    meets = {"quasi_ideal": "quasi_meet", "star_quasi": "star_quasi_meet"}
+    for S in catalog_upto_4:
+        masks = StructureAnalysis(S).flag_masks
+        for c in classify_all(S):
+            a = c.element
+            for name in ElementClassification.FLAG_NAMES:
+                mask = getattr(masks, name)
+                if mask is None:
+                    assert getattr(c, name) is None
+                    continue
+                exists = name not in meets or getattr(masks, meets[name]) >> a & 1
+                assert getattr(c, name) == (bool(mask >> a & 1) if exists else None)
 
 
 @settings(deadline=None, max_examples=60)
