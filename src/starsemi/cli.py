@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import islice
 from typing import Optional
@@ -365,7 +366,15 @@ def run(argv=None, stdout=None) -> int:
 
 
 def main(argv=None) -> None:
-    raise SystemExit(run(argv))
+    try:
+        code = run(argv)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+    except BrokenPipeError:
+        # stdout was closed early, as by ``| head``: send what is left to
+        # devnull, so that the flush at exit is quiet, and exit 1 (EPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Optional
 
 MAX_ORDER = 24
@@ -324,8 +324,8 @@ def _check_po_groupoid(raw: RawStructure, up, down):
                                     "a <= b but not ca <= cb")
 
 
-def _check_associativity(raw: RawStructure):
-    n, mult = raw.n, raw.mult
+def _check_associativity(mult):
+    n = len(mult)
     for a in range(n):
         ra = mult[a]
         for b in range(n):
@@ -377,8 +377,9 @@ def _check_wedge(raw: RawStructure, meet_t):
                                     "pair has no greatest lower bound")
 
 
-def _check_involution(raw: RawStructure, up):
-    n, mult, star = raw.n, raw.mult, raw.star
+def _check_star_laws(mult, star):
+    # the part of the involution tier that reads only the table and the star
+    n = len(mult)
     if star is None:
         yield Violation(INVOLUTION, "operation-present", (), "no unary operation given")
         return
@@ -391,7 +392,13 @@ def _check_involution(raw: RawStructure, up):
         for b in range(n):
             if star[ra[b]] != col[star[b]]:
                 yield Violation(INVOLUTION, "anti-homomorphism", (a, b), "(ab)* != b*a*")
-    for a in range(n):
+
+
+def _check_star_order(star, up):
+    # the part of the involution tier that reads the order
+    if star is None:
+        return
+    for a in range(len(star)):
         up_sa = up[star[a]]
         for b in BITS[up[a]]:
             if not up_sa >> star[b] & 1:
@@ -399,12 +406,36 @@ def _check_involution(raw: RawStructure, up):
                                 "a <= b but not a* <= b*")
 
 
-def _tier_checks(raw: RawStructure, e, join_t, meet_t):
-    """One lazy generator of violations per tier, in validation order; ``e``
-    is the greatest element of ``raw.leq`` or None."""
+def _pair_checks(mult, star):
+    """The checks that read only the table and the star: associativity and
+    the star laws of the involution tier."""
+    return _check_associativity(mult), _check_star_laws(mult, star)
+
+
+def _order_checks(raw: RawStructure, e, join_t, meet_t):
+    """The checks that read the order, one per tier: po-groupoid, poe, vee,
+    wedge and the star's order preservation. ``e`` is the greatest element of
+    ``raw.leq`` or None."""
     up, down = _masks(raw.leq), _masks(tuple(zip(*raw.leq)))
-    return (_check_po_groupoid(raw, up, down), _check_associativity(raw), _check_poe(raw, e),
-            _check_vee(raw.mult, join_t), _check_wedge(raw, meet_t), _check_involution(raw, up))
+    return (_check_po_groupoid(raw, up, down), _check_poe(raw, e), _check_vee(raw.mult, join_t),
+            _check_wedge(raw, meet_t), _check_star_order(raw.star, up))
+
+
+def _tier_checks(raw: RawStructure, e, join_t, meet_t):
+    """One lazy generator of violations per tier, in validation order."""
+    associativity, star_laws = _pair_checks(raw.mult, raw.star)
+    po_groupoid, poe, vee, wedge, star_order = _order_checks(raw, e, join_t, meet_t)
+    return po_groupoid, associativity, poe, vee, wedge, chain(star_laws, star_order)
+
+
+def _failed_tiers(checks) -> frozenset[str]:
+    """The tiers of the checks that yield a violation, each read up to its first."""
+    return frozenset(v.tier for v in (next(check, None) for check in checks) if v is not None)
+
+
+def _pair_failures(mult, star) -> frozenset[str]:
+    """The tiers that the checks of ``_pair_checks`` fail."""
+    return _failed_tiers(_pair_checks(mult, star))
 
 
 @lru_cache(maxsize=128)  # one entry per set of failed tiers
@@ -438,8 +469,9 @@ def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationRep
     the owning tier from the accepted set. A tier refused for a missing
     prerequisite gets one "prerequisite" record at the end. The accepted set
     depends only on which tiers have some violation, so the enumeration's
-    re-check (``_accepted_structure``) reads only the first violation of each
-    tier from the same checks.
+    re-check reads only the first violation of each tier from the same checks:
+    the ones that read only the table and the star once per (table, star) pair
+    (``_pair_failures``), the rest once per model (``_accepted_structure``).
     """
     join_t, meet_t = bounds_tables(raw.leq)
     e = greatest_element(raw.leq)
@@ -450,14 +482,14 @@ def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationRep
             ValidationReport(accepted=accepted, violations=tuple(violations)))
 
 
-def _accepted_structure(raw: RawStructure, bounds=None) -> OrderedAlgebra:
-    """The structure ``validate_structure`` returns, without its report: each
-    tier check stops at its first violation and no record is kept. ``bounds``
-    may hand in ``bounds_tables(raw.leq)`` when the caller has it."""
-    join_t, meet_t = bounds if bounds is not None else bounds_tables(raw.leq)
+def _accepted_structure(raw: RawStructure, pair_failed, bounds) -> OrderedAlgebra:
+    """The structure ``validate_structure`` returns, without its report, given
+    ``pair_failed = _pair_failures(raw.mult, raw.star)`` and ``bounds =
+    bounds_tables(raw.leq)``: only the checks that read the order run here,
+    each up to its first violation, and no record is kept."""
+    join_t, meet_t = bounds
     e = greatest_element(raw.leq)
-    firsts = (next(check, None) for check in _tier_checks(raw, e, join_t, meet_t))
-    failed = frozenset(v.tier for v in firsts if v is not None)
+    failed = pair_failed | _failed_tiers(_order_checks(raw, e, join_t, meet_t))
     return _algebra(raw, _accept(failed)[0], e, join_t, meet_t)
 
 

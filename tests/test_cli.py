@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +13,7 @@ from starsemi.fileformat import load_structure, serialize_structure
 from starsemi.structure import validate_structure
 
 STRUCTURES = pathlib.Path(__file__).resolve().parent.parent / "structures"
+SRC = STRUCTURES.parent / "src"
 
 
 def run_cli(*argv):
@@ -274,3 +278,23 @@ def test_candidate_file_validates_with_poe():
 def test_help_and_version_exit_zero():
     assert run_cli("--help")[0] == 0
     assert run_cli("--version")[0] == 0
+
+
+def test_a_closed_stdout_ends_the_run_without_a_traceback():
+    # `search ... --json | head -1`: the pipe holds one page, so the rest of
+    # the 6 kB report is still unwritten when the reader goes away
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs Linux pipe sizes")
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "starsemi", "search", "--order", "3", "--claims", "all", "--json"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    assert os.read(read_end, 2) == b"{\n"
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err
+    assert proc.returncode == 1

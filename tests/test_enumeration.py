@@ -9,7 +9,7 @@ from starsemi import (
     compatible_orders, enumerate_models, search_counterexample, semigroup_representatives,
     validate_structure, write_catalog,
 )
-from starsemi import RawStructure
+from starsemi import RawStructure, enumeration, structure
 from starsemi.enumeration import (
     _assoc_tables, _centralizer, _compatible_order_stream, _involutions,
 )
@@ -34,26 +34,32 @@ LABELED_ASSOCIATIVE = {1: 1, 2: 8, 3: 113, 4: 3492}
 SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
 STAR_ADMITTING_CLASSES = {1: 1, 2: 3, 3: 12, 4: 64, 5: 405, 6: 3312}
 INVOLUTION_POE_MODELS = {1: 1, 2: 4, 3: 34, 4: 482}
-# Model counts of the other involution specs at orders 1-4; the {involution}
-# counts at orders 1-3 are also checked against the naive oracle
+# Model counts of the other involution specs at orders 1-4, and at order 5
+# for the two specs whose order filter reads the join table; the
+# {involution} counts at orders 1-3 are also checked against the naive oracle
 INVOLUTION_MODELS = {
-    frozenset({INVOLUTION, LE}): (1, 4, 20, 159),
-    frozenset({INVOLUTION, VEE}): (1, 4, 31, 325),
+    frozenset({INVOLUTION, LE}): (1, 4, 20, 159, 1592),
+    frozenset({INVOLUTION, VEE}): (1, 4, 31, 325, 4159),
     frozenset({INVOLUTION, WEDGE}): (1, 4, 34, 482),
     frozenset({INVOLUTION}): (1, 7, 90, 1638),
 }
-# Order-4 catalog fingerprints (conftest.fingerprint of the canonical digests):
-# they hold while the counts hold only if the classes are the same too
-ORDER_4_FINGERPRINTS = {
-    frozenset({INVOLUTION, POE}):
+# Catalog fingerprints (conftest.fingerprint of the canonical digests) by
+# (tiers, order): they hold while the counts hold only if the classes are the
+# same too
+FINGERPRINTS = {
+    (frozenset({INVOLUTION, POE}), 4):
         "v2-b51a1c5c92c46aa39253ac0196eec3b745a421d1e0b95cd63273c862a8fb09f9",
-    frozenset({INVOLUTION, LE}):
+    (frozenset({INVOLUTION, LE}), 4):
         "v2-e856ccacde27a4d65084fd9cc9fae0a6dd275c654404d06e956a01a483fdfcac",
-    frozenset({INVOLUTION, VEE}):
+    (frozenset({INVOLUTION, LE}), 5):
+        "v2-c8952cc29890ac6861a85b66c1560603939fcd4f77069da7909bb4f2412ca7d2",
+    (frozenset({INVOLUTION, VEE}), 4):
         "v2-3c51ac4e4cb1216134e8ff20330c9d48d24798939b2b1819b41fb99f51afa02c",
-    frozenset({INVOLUTION, WEDGE}):
+    (frozenset({INVOLUTION, VEE}), 5):
+        "v2-d2c9a9d5b90858766985b106db7fb5db69e564ac7d46bcfe8374f246c0312249",
+    (frozenset({INVOLUTION, WEDGE}), 4):
         "v2-27cdaf66f72b457d9e43073fd4010ba05743898984fbac754a5e625c44da934e",
-    frozenset({INVOLUTION}):
+    (frozenset({INVOLUTION}), 4):
         "v2-d6384955fd614ac5d1776680e776967144315fb972d8a7a5052907cb5e2b0a7a",
 }
 
@@ -180,8 +186,8 @@ def _assert_counts_and_fingerprint(tiers, counts):
         spec = ModelSpec(order=n, required_tiers=tiers)
         digests = [canonical_form(S).digest for S in enumerate_models(spec)]
         assert len(digests) == want
-        if n == 4:
-            assert fingerprint(digests) == ORDER_4_FINGERPRINTS[tiers]
+        if n >= 4:
+            assert fingerprint(digests) == FINGERPRINTS[tiers, n]
 
 
 def test_model_counts_involution_poe():
@@ -219,12 +225,47 @@ def test_right_zero_admits_no_involution():
 
 
 def test_emitted_models_carry_the_tiers_and_bounds_of_full_validation():
-    # the lattice-tier specs hand the filter's join/meet tables to the re-check
+    # the lattice-tier specs read the join/meet tables that the filter cached
     for tiers in ({INVOLUTION, VEE}, {INVOLUTION, WEDGE}, {LE}, {INVOLUTION, POE}):
         for S in enumerate_models(ModelSpec(order=4, required_tiers=frozenset(tiers))):
             model, report = validate_structure(S.raw)
             assert S.tiers == report.accepted
             assert S == model  # same tables, greatest element, join and meet tables
+
+
+def _counted(calls, f):
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return f(*args, **kwargs)
+    return counted
+
+
+def test_recheck_runs_each_check_once_per_object_it_reads(monkeypatch):
+    # associativity reads only the table: it runs once per (table, star)
+    # pair, as the star laws do; the bounds tables run once per order
+    pairs, assoc, bounds = [], [], []
+    monkeypatch.setattr(enumeration, "_filtered_orders",
+                        _counted(pairs, enumeration._filtered_orders))
+    monkeypatch.setattr(structure, "_check_associativity",
+                        _counted(assoc, structure._check_associativity))
+    for module in (enumeration, structure):
+        monkeypatch.setattr(module, "bounds_tables", _counted(bounds, structure.bounds_tables))
+    enumeration._bounds.cache_clear()
+    models = list(enumerate_models(ModelSpec(order=4, required_tiers=frozenset({INVOLUTION, POE}))))
+    assert len(models) == INVOLUTION_POE_MODELS[4]
+    assert len(assoc) == len(pairs) == len({args[:2] for args in pairs}) == 83
+    assert len(bounds) == len({S.leq for S in models}) == 64
+
+
+def test_a_model_missing_a_required_tier_is_an_error(monkeypatch):
+    # the re-check guards the order search, also under python -O: here the
+    # search hands over an order without a top for a poe spec
+    def topless(mult, star=None, require_greatest=False):
+        yield equality_leq(len(mult))
+
+    monkeypatch.setattr(enumeration, "_compatible_order_stream", topless)
+    with pytest.raises(RuntimeError, match="poe"):
+        list(enumerate_models(ModelSpec(order=2, required_tiers=frozenset({POE}))))
 
 
 def test_emitted_models_validate_at_requested_tiers():
