@@ -6,17 +6,24 @@ generated by backtracking with incremental associativity pruning, then, when
 an involution is required, each table's stars are picked, then the compatible
 order relations of each (table, star) pair are grown pairwise with constraint
 propagation on per-element bitmasks. The propagation forces a* <= b* along
-with a <= b, so every order it yields is preserved by the star. When a
-greatest element is required, the order search cuts every branch in which each
-element already has some element decided not below it, since no completion of
-such a branch has a top. When an involution is required, the table search is
-star-first: it runs once per involution in normal form,
-(0 1)(2 3)... with the remaining elements fixed, and fills each cell together
-with the partner cell that (ab)* = b*a* determines, so tables that admit no
-involution are never built. Each run of the table search for the semigroup
-classes visits only the lex-leaders under the relabelings that commute with
-its star (all of them without a star), so it builds one table per orbit of
-that group instead of every labeled table.
+with a <= b, so every order it yields is preserved by the star. The order
+search is rooted at the required extremes: when a greatest element is
+required it runs once per candidate top t, from x <= t forced for every x;
+when meets are required (a finite order with all binary meets has the meet of
+all elements as its least element) once per candidate bottom; and once per
+(top, bottom) pair when both are. Each rooted search yields its orders in
+lexicographic order, no order has two tops or two bottoms, and the rooted
+streams are merged lazily into one lexicographic stream, the orders that the
+unrooted search yields with the required extremes, in the same order.
+
+When an involution is required, the table search is star-first: it runs once
+per involution in normal form, (0 1)(2 3)... with the remaining elements
+fixed, and fills each cell together with the partner cell that
+(ab)* = b*a* determines, so tables that admit no involution are never
+built. Each run of the table search for the semigroup classes visits only the
+lex-leaders under the relabelings that commute with its star (all of them
+without a star), so it builds one table per orbit of that group instead of
+every labeled table.
 
 Isomorphism rejection of the tables needs a key only where that group is
 smaller than Sym(n). The run without a star and the identity-star run (the
@@ -51,11 +58,11 @@ involution-poe stream runs the pair checks 542 times and builds the tables of
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations
-from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .claims import (
@@ -63,8 +70,9 @@ from .claims import (
 )
 from .fileformat import serialize_structure
 from .structure import (
-    BITS, INVOLUTION, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, RawStructure, VEE, WEDGE,
-    _accepted_structure, _check_vee, _pair_failures, bounds_tables, tier_closure,
+    BITS, INVOLUTION, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, RawStructure, StructureError,
+    VEE, WEDGE, _accepted_structure, _check_vee, _pair_failures, bounds_tables, equality_leq,
+    tier_closure,
 )
 
 EXHAUSTIVE_MAX_ORDER = 6
@@ -609,44 +617,73 @@ def _propagate(up, down, no, implied, a, b):
                 no[q] |= bit
                 for u, v in implied[p][q]:
                     if not up[u] >> v & 1:
+                        if no[u] >> v & 1:  # u <= v decided false
+                            return False
                         stack.append((u, v))
     return True
 
 
-def _compatible_order_stream(mult, star=None, require_greatest=False):
+def _compatible_order_stream(mult, star=None, require_greatest=False, require_least=False):
     """All partial orders making (mult, leq[, star]) order-compatible (and
-    star order-preserving), as boolean matrices, sparsest-first.
+    star order-preserving), as boolean matrices, in lexicographic order of
+    the matrices (False before True, row by row).
 
-    Pairs are decided in row-major order, "not <=" before "<=" with its
-    propagated consequences. With ``require_greatest`` a branch is cut as soon
-    as every element t has some a with a <= t decided false: no completion of
-    it has a greatest element. The surviving leaves are exactly the leaves
-    with a greatest element, in the same order."""
+    One search runs per root. With ``require_greatest`` a root is a candidate
+    top t: it starts from x <= t forced for every x, with its propagated
+    consequences, so t <= x is decided false for every x other than t. With
+    ``require_least`` a root is a candidate bottom b, forced below every
+    element, and with both a root is a pair (t, b). A root whose forcing
+    conflicts is dropped. Without a requirement the one root is the empty
+    state. Each search decides the pairs in row-major order, "not <=" before
+    "<=" with its propagated consequences, so it yields its leaves in
+    lexicographic order. Every order has one top and one bottom at most, so
+    the roots partition the leaves, and merging their streams lazily yields
+    exactly the orders with the required extremes, in the order the unrooted
+    search yields them."""
     n = len(mult)
     implied = _implied_pairs(mult, star)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     full = (1 << n) - 1
     rows = _Memo(lambda mask: tuple(bool(mask >> j & 1) for j in range(n)))
     singletons = [1 << i for i in range(n)]
-    stack = [(0, singletons, singletons[:], [0] * n)]
-    while stack:
-        k, up, down, no = stack.pop()
-        if require_greatest and reduce(or_, no) == full:
-            continue
-        for k in range(k, len(pairs)):
-            i, j = pairs[k]
-            if not (up[i] | no[i]) >> j & 1:
-                break
-        else:
-            yield tuple(rows[u] for u in up)
-            continue
-        # pushed first, explored second: i <= j with its consequences
-        up2, down2, no2 = up[:], down[:], no[:]
-        if _propagate(up2, down2, no2, implied, i, j):
-            stack.append((k + 1, up2, down2, no2))
-        no1 = no[:]
-        no1[i] |= 1 << j
-        stack.append((k + 1, up, down, no1))
+
+    def search(up, down, no):
+        # the first leaf below a state decides every pair it leaves open
+        # "not <=", which changes only ``no``: it is the state's ``up``, yielded
+        # before the state branches. Each state on the stack owns its lists, so
+        # its "not <=" branch goes on in place.
+        stack = [(0, up, down, no)]
+        while stack:
+            i, up, down, no = stack.pop()
+            yield tuple(map(rows.__getitem__, up))
+            for i in range(i, n):
+                rest = full & ~(up[i] | no[i])  # the undecided pairs of row i
+                while rest:
+                    bit = rest & -rest
+                    # i <= j with its consequences, explored after "not <="
+                    up2, down2, no2 = up[:], down[:], no[:]
+                    if _propagate(up2, down2, no2, implied, i, bit.bit_length() - 1):
+                        stack.append((i, up2, down2, no2))
+                    no[i] |= bit
+                    rest ^= bit
+
+    def rooted(states, top):
+        # each state once per candidate top (bottom) e: with x <= e (e <= x)
+        # forced for every x, unless that conflicts
+        out = []
+        for up, down, no in states:
+            for e in range(n):
+                forced = [(x, e) if top else (e, x) for x in range(n)]
+                up2, down2, no2 = up[:], down[:], no[:]
+                if all(_propagate(up2, down2, no2, implied, a, b) for a, b in forced):
+                    out.append((up2, down2, no2))
+        return out
+
+    roots = [(singletons, singletons[:], [0] * n)]
+    if require_greatest:
+        roots = rooted(roots, True)
+    if require_least:
+        roots = rooted(roots, False)
+    yield from heapq.merge(*(search(*root) for root in roots))
 
 
 # Sized on the involution-poe streams: order 5 reads 756 distinct orders, so
@@ -668,7 +705,9 @@ def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_j
                      require_meets, require_join_distributivity):
     """The compatible order stream, minus orders that are not the least in
     their orbit under ``nontrivial_auts`` and orders failing a requirement."""
-    for leq in _compatible_order_stream(mult, star, require_greatest):
+    # a finite order in which every pair has a meet has a least element, the
+    # meet of all elements, so the meet tiers search from a bottom
+    for leq in _compatible_order_stream(mult, star, require_greatest, require_meets):
         if nontrivial_auts and any(_apply_perm_leq(leq, p) < leq for p in nontrivial_auts):
             continue
         if require_joins or require_meets or require_join_distributivity:
@@ -691,15 +730,21 @@ def compatible_orders(mult, star=None, *, require_greatest=False, require_joins=
                       dedupe=True) -> Iterator[tuple[tuple[bool, ...], ...]]:
     """Stream the partial orders compatible with a fixed multiplication table
     (and involution), optionally constrained, deduplicated up to the
-    automorphisms of (mult, star). The equality order is always compatible
-    and comes first. With ``require_greatest`` the search cuts every branch
-    in which no element can still be the top."""
+    automorphisms of (mult, star), in lexicographic order. Without
+    requirements the equality order is always compatible and comes first.
+    With ``require_greatest`` (``require_meets``) the search runs from each
+    candidate top (bottom). A table that is not square, an entry out of range
+    or a star that is not n elements in range raise ``StructureError``."""
     mult = tuple(tuple(row) for row in mult)
-    star = tuple(star) if star is not None else None
+    n = len(mult)
+    mult = RawStructure(n=n, mult=mult, leq=equality_leq(n)).mult  # its table checks
     if star is not None:
+        star = tuple(star)
+        if len(star) != n or not all(isinstance(v, int) and 0 <= v < n for v in star):
+            raise StructureError(f"star must be {n} elements of 0..{n - 1}, got {star!r}")
         # the unary operation must be an involutive anti-automorphism before
         # any order can make the triple valid; otherwise the stream is empty
-        if any(star[star[x]] != x for x in range(len(mult))) or not _anti_automorphic(mult, star):
+        if any(star[star[x]] != x for x in range(n)) or not _anti_automorphic(mult, star):
             return
     auts = automorphisms(mult, star=star) if dedupe else []
     yield from _filtered_orders(

@@ -1,4 +1,5 @@
 import inspect
+import os
 import pathlib
 
 import pytest
@@ -9,7 +10,7 @@ from starsemi import (
     compatible_orders, enumerate_models, search_counterexample, semigroup_representatives,
     validate_structure, write_catalog,
 )
-from starsemi import RawStructure, enumeration, structure
+from starsemi import RawStructure, StructureError, enumeration, structure
 from starsemi.enumeration import (
     _assoc_tables, _centralizer, _compatible_order_stream, _involutions,
 )
@@ -18,7 +19,7 @@ from starsemi.structure import equality_leq, greatest_element
 
 from conftest import fingerprint
 from support import (
-    EXAMPLE2_MULT, EXAMPLE2_STAR, admits_involution, anti_automorphic,
+    EXAMPLE2_MULT, EXAMPLE2_STAR, admits_involution, all_posets, anti_automorphic,
     brute_associative_tables, brute_canonical_form, chain2, commuting_perms, involutive_perms,
     lex_leader, naive_model_forms, oracle_bounds_tables, search_walk, star_admitting_class_forms,
 )
@@ -35,12 +36,12 @@ SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
 STAR_ADMITTING_CLASSES = {1: 1, 2: 3, 3: 12, 4: 64, 5: 405, 6: 3312}
 INVOLUTION_POE_MODELS = {1: 1, 2: 4, 3: 34, 4: 482}
 # Model counts of the other involution specs at orders 1-4, and at order 5
-# for the two specs whose order filter reads the join table; the
+# for the three specs whose order filter reads the join or meet table; the
 # {involution} counts at orders 1-3 are also checked against the naive oracle
 INVOLUTION_MODELS = {
     frozenset({INVOLUTION, LE}): (1, 4, 20, 159, 1592),
     frozenset({INVOLUTION, VEE}): (1, 4, 31, 325, 4159),
-    frozenset({INVOLUTION, WEDGE}): (1, 4, 34, 482),
+    frozenset({INVOLUTION, WEDGE}): (1, 4, 34, 482, 9958),
     frozenset({INVOLUTION}): (1, 7, 90, 1638),
 }
 # Catalog fingerprints (conftest.fingerprint of the canonical digests) by
@@ -59,8 +60,26 @@ FINGERPRINTS = {
         "v2-d2c9a9d5b90858766985b106db7fb5db69e564ac7d46bcfe8374f246c0312249",
     (frozenset({INVOLUTION, WEDGE}), 4):
         "v2-27cdaf66f72b457d9e43073fd4010ba05743898984fbac754a5e625c44da934e",
+    (frozenset({INVOLUTION, WEDGE}), 5):
+        "v2-02ba2a1a78631b0e472e33cfe8fff2ea3f5ca19a3ca724e271043644ef21a408",
     (frozenset({INVOLUTION}), 4):
         "v2-d6384955fd614ac5d1776680e776967144315fb972d8a7a5052907cb5e2b0a7a",
+    (frozenset({INVOLUTION}), 5):
+        "v2-0c04b2270f22453cae6d12659f48a9a04cd20680dba22a7a6076a13f8271d163",
+    (frozenset({LE}), 5):
+        "v2-8416cc73976cb3b2a3c5dc69460d2a281fb144fd000485b5847779876a00d6f8",
+    (frozenset({POE}), 5):
+        "v2-dc88f5eba60d4ff510f1badba09ada222104a8526778f5bac091c755db22ee35",
+    (frozenset({INVOLUTION, LE}), 6):
+        "v2-d3c48cd864741d2d0462061da633c3893c149551e51f465e36c46264690a914e",
+}
+# Catalogs too slow for Tier-1, by (tiers, order): their model counts, checked
+# with their FINGERPRINTS when STARSEMI_SLOW=1
+SLOW_MODELS = {
+    (frozenset({INVOLUTION}), 5): 42465,
+    (frozenset({LE}), 5): 6738,
+    (frozenset({POE}), 5): 47725,
+    (frozenset({INVOLUTION, LE}), 6): 19146,
 }
 
 
@@ -199,6 +218,13 @@ def test_model_counts_of_the_other_involution_specs():
         _assert_counts_and_fingerprint(tiers, dict(enumerate(counts, start=1)))
 
 
+@pytest.mark.skipif(os.environ.get("STARSEMI_SLOW") != "1",
+                    reason="set STARSEMI_SLOW=1 to enumerate the order-5 and order-6 catalogs")
+def test_slow_catalog_counts_and_fingerprints():
+    for (tiers, n), want in SLOW_MODELS.items():
+        _assert_counts_and_fingerprint(tiers, {n: want})
+
+
 def test_matches_naive_oracle_orders_1_to_3():
     # (required tiers, naive_model_forms keywords): with and without a star,
     # with and without a greatest element
@@ -260,7 +286,7 @@ def test_recheck_runs_each_check_once_per_object_it_reads(monkeypatch):
 def test_a_model_missing_a_required_tier_is_an_error(monkeypatch):
     # the re-check guards the order search, also under python -O: here the
     # search hands over an order without a top for a poe spec
-    def topless(mult, star=None, require_greatest=False):
+    def topless(mult, star=None, require_greatest=False, require_least=False):
         yield equality_leq(len(mult))
 
     monkeypatch.setattr(enumeration, "_compatible_order_stream", topless)
@@ -349,6 +375,64 @@ def test_top_pruned_order_stream_keeps_exactly_the_orders_with_a_top():
                 full = _compatible_order_stream(mult, star)
                 pruned = list(_compatible_order_stream(mult, star, require_greatest=True))
                 assert pruned == [leq for leq in full if greatest_element(leq) is not None]
+
+
+def test_bottom_pruned_order_stream_keeps_exactly_the_orders_with_a_bottom():
+    for n in (1, 2, 3, 4):
+        for mult in semigroup_representatives(n):
+            stars = [p for p in involutive_perms(n) if anti_automorphic(mult, p)]
+            for star in [None] + stars:
+                full = _compatible_order_stream(mult, star)
+                pruned = list(_compatible_order_stream(mult, star, require_least=True))
+                assert pruned == [leq for leq in full
+                                  if any(all(leq[b]) for b in range(n))]
+
+
+def test_order_stream_is_the_sorted_list_of_the_oracle_orders():
+    # every poset on n points, kept when the product is monotone in both
+    # arguments and the star preserves it: the stream yields exactly these,
+    # sorted, with the required top and bottom
+    def top(leq):
+        return any(all(row[t] for row in leq) for t in range(len(leq)))
+
+    def bottom(leq):
+        return any(all(row) for row in leq)
+
+    for n in (1, 2, 3, 4):
+        posets = list(all_posets(n))
+        for mult in semigroup_representatives(n):
+            compatible = [
+                leq for leq in posets
+                if all(leq[mult[a][c]][mult[b][c]] and leq[mult[c][a]][mult[c][b]]
+                       for a in range(n) for b in range(n) if leq[a][b] for c in range(n))]
+            stars = [p for p in involutive_perms(n) if anti_automorphic(mult, p)]
+            for star in [None] + stars:
+                preserved = sorted(
+                    leq for leq in compatible if star is None
+                    or all(leq[star[a]][star[b]] for a in range(n) for b in range(n) if leq[a][b]))
+                for greatest in (False, True):
+                    for least in (False, True):
+                        want = [leq for leq in preserved
+                                if (not greatest or top(leq)) and (not least or bottom(leq))]
+                        assert list(_compatible_order_stream(mult, star, greatest, least)) == want
+
+
+@pytest.mark.parametrize("mult,star", [
+    (((0, 1), (1, 0)), (0, 1, 2)),  # a star longer than the table
+    (((0, 0), (0, 0)), (0, 2)),     # a star value out of range
+    (((0, 0), (0, 0)), (0,)),       # a star shorter than the table
+    (((0, 1), (1,)), None),         # a table that is not square
+    (((0, 2), (1, 1)), None),       # a product out of range
+    ((), None),                     # no elements
+])
+def test_compatible_orders_refuses_malformed_tables(mult, star):
+    with pytest.raises(StructureError):
+        list(compatible_orders(mult, star))
+
+
+def test_compatible_orders_empty_for_a_star_that_is_no_involution():
+    # n values in range, but not an involution: a valid input with no orders
+    assert list(compatible_orders(((0, 0), (0, 0)), (1, 1))) == []
 
 
 def _has_all(table):
