@@ -24,7 +24,7 @@ from .fileformat import FormatError, load_structure, serialize_structure
 from .ideals import ElementClassification, classify_all
 from .regularity import regularity_profile
 from .structure import (
-    ALL_TIERS, BITS, INVOLUTION, PO_GROUPOID, POE, StructureError,
+    ALL_TIERS, BITS, INVOLUTION, PO_GROUPOID, StructureError,
     tier_closure, transitive_reduction_pairs, validate_structure,
 )
 
@@ -209,7 +209,7 @@ def _cmd_filters(args, out):
 
 
 def _cmd_search(args, out):
-    tiers = _parse_tiers(args.tiers) if args.tiers else frozenset({POE, INVOLUTION})
+    tiers = _parse_tiers(args.tiers or "involution,poe")
     spec = ModelSpec(order=args.order, required_tiers=tiers, limit=args.limit)
     report, models = _sweep(spec, () if args.claims is None else _select_claims(args.claims))
     if args.out:

@@ -45,14 +45,15 @@ Every emitted model is re-checked against every axiom tier with the checks of
 ``validate_structure``, each read up to its first violation, and each part is
 paid once per object it reads. Associativity and the star laws (involutive,
 anti-homomorphism) read only the table and the star: they run once per
-(table, star) pair, before its order stream. The join and meet tables read
-only the order: they are built once per order while it stays in a bounded
-LRU cache, which the order filter of the lattice tiers reads too. Only the
-checks that read the order run once per model: the order axioms and
-compatibility, the greatest element, joins and join-distributivity, meets and
-the star's order preservation. For its 10,200 models, the order-5
-involution-poe stream runs the pair checks 542 times and builds the tables of
-756 orders.
+(table, star) pair, before its order stream. What the checks read of the
+order alone (its up-set and down-set bitmasks, its greatest element and its
+join and meet tables) is one record, built once per order while it stays in
+a bounded LRU cache; the order filter of the lattice tiers reads the same
+record, and each model carries it. Only the checks that read the order run
+once per model: the order axioms and compatibility, the greatest element,
+joins and join-distributivity, meets and the star's order preservation. For
+its 10,200 models, the order-5 involution-poe stream runs the pair checks 542
+times and builds the records of 756 orders.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .claims import (
 from .fileformat import serialize_structure
 from .structure import (
     BITS, INVOLUTION, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, RawStructure, StructureError,
-    VEE, WEDGE, _accepted_structure, _check_vee, _pair_failures, bounds_tables, equality_leq,
+    VEE, WEDGE, _accepted_structure, _check_vee, _order_record, _pair_failures, equality_leq,
     tier_closure,
 )
 
@@ -109,8 +110,7 @@ class CanonicalForm:
     forms characterize isomorphic structures.
 
     ``digest`` carries a format prefix, ``v2-`` followed by the SHA-256 of
-    the bytes. Digests without a prefix came from the earlier encoding (the
-    least over all n! relabelings) and are not comparable with these."""
+    the bytes."""
 
     data: bytes
 
@@ -687,18 +687,18 @@ def _compatible_order_stream(mult, star=None, require_greatest=False, require_le
 
 
 # Sized on the involution-poe streams: order 5 reads 756 distinct orders, so
-# every repeat hits; order 6 reads 13,239, and at this size the tables are
-# built 61,157 times for its 319,587 models (13,239 times unbounded, for
+# every repeat hits; order 6 reads 13,239, and at this size the order records
+# are built 61,157 times for its 319,587 models (13,239 times unbounded, for
 # 17 MB more peak memory)
-_BOUNDS_CACHE_SIZE = 2048
+_RECORD_CACHE_SIZE = 2048
 
 
-@lru_cache(maxsize=_BOUNDS_CACHE_SIZE)
-def _bounds(leq):
-    """``bounds_tables(leq)``, built once per order while it stays cached: many
-    (table, star) pairs share their orders, and the order filter and the
-    re-check of each model both read the tables."""
-    return bounds_tables(leq)
+@lru_cache(maxsize=_RECORD_CACHE_SIZE)
+def _record(leq):
+    """``_order_record(leq)``, built once per order while it stays cached: many
+    (table, star) pairs share their orders, and the order filter, the
+    re-check and the model of each order all read the record."""
+    return _order_record(leq)
 
 
 def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_joins,
@@ -711,7 +711,7 @@ def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_j
         if nontrivial_auts and any(_apply_perm_leq(leq, p) < leq for p in nontrivial_auts):
             continue
         if require_joins or require_meets or require_join_distributivity:
-            join_t, meet_t = _bounds(leq)
+            join_t, meet_t = _record(leq)[3:]
             if require_joins and any(v is None for row in join_t for v in row):
                 continue
             if require_meets and any(v is None for row in meet_t for v in row):
@@ -791,7 +791,7 @@ def _finish_model(mult, leq, star, tiers, pair_failed):
     # the full tier set of the model: ``pair_failed`` holds the tiers that the
     # checks of (mult, star) failed, and the checks that read leq run here
     model = _accepted_structure(RawStructure(n=len(mult), mult=mult, leq=leq, star=star),
-                                pair_failed, _bounds(leq))
+                                pair_failed, _record(leq))
     missing = tiers - model.tiers
     if missing:  # a bug in the search
         raise RuntimeError(f"enumerated model misses tiers {sorted(missing)}")

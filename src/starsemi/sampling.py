@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
+from .enumeration import _apply_perm_leq, _apply_perm_mult, _apply_perm_star, _perm_inverse
 from .structure import (
     OrderedAlgebra,
     RawStructure,
@@ -100,16 +101,11 @@ def _product(first, second):
 
 def _relabel(rng, triple):
     mult, leq, star = triple
-    n = len(mult)
-    p = list(range(n))
+    p = list(range(len(mult)))
     rng.shuffle(p)
-    pinv = [0] * n
-    for i, x in enumerate(p):
-        pinv[x] = i
-    mult2 = tuple(tuple(pinv[mult[p[x]][p[y]]] for y in range(n)) for x in range(n))
-    leq2 = tuple(tuple(leq[p[x]][p[y]] for y in range(n)) for x in range(n))
-    star2 = None if star is None else tuple(pinv[star[p[x]]] for x in range(n))
-    return mult2, leq2, star2
+    pinv = _perm_inverse(p)
+    return (_apply_perm_mult(mult, p, pinv), _apply_perm_leq(leq, p),
+            None if star is None else _apply_perm_star(star, p, pinv))
 
 
 _FAMILIES = (

@@ -3,14 +3,16 @@
 Elements are the integers 0..n-1; ``labels`` are presentation-only. A structure
 carries a multiplication table, an order relation, and optionally a unary
 involution given as a permutation. Validation sorts the structure into axiom
-tiers (which form a lattice under prerequisites, not a chain) and caches the
-greatest element, the partial join/meet tables and, on first use, the up-set,
-down-set and divisor bitmasks that the analysis modules read.
+tiers (which form a lattice under prerequisites, not a chain). The views of
+the order that the validation and the analysis modules read (the up-set and
+down-set bitmasks, the greatest element and the partial join/meet tables) are
+built once, as one record per order, and the validated structure carries it;
+the divisor bitmasks are built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
 from typing import Iterable, Optional
@@ -184,16 +186,21 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class OrderedAlgebra:
-    """Validated immutable structure plus its attained tier set and cached
-    greatest element / partial join and meet tables. Entries of the join/meet
-    tables are element indices or None where no bound exists. The up-set,
-    down-set and divisor bitmasks are derived from the tables on first use."""
+    """Validated immutable structure plus its attained tier set and the record
+    of its order: the greatest element, the partial join and meet tables and
+    the up-set and down-set bitmasks. Entries of the join/meet tables are
+    element indices or None where no bound exists. Entry a of ``up_masks``
+    (``down_masks``) has bit u set when a <= u (u <= a); the masks come with
+    the record, so they take no part in equality or repr. The divisor
+    bitmasks are derived from the table on first use."""
 
     raw: RawStructure
     tiers: frozenset[str]
     e: Optional[int]
     join_table: tuple[tuple[Optional[int], ...], ...]
     meet_table: tuple[tuple[Optional[int], ...], ...]
+    up_masks: tuple[int, ...] = field(repr=False, compare=False)
+    down_masks: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -236,18 +243,6 @@ class OrderedAlgebra:
     def meet(self, a: int, b: int) -> Optional[int]:
         return self.meet_table[a][b]
 
-    # bitmask views of the tables, built on first use and kept with them
-
-    @cached_property
-    def up_masks(self) -> tuple[int, ...]:
-        """Entry a has bit u set when a <= u."""
-        return _masks(self.raw.leq)
-
-    @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        """Entry a has bit u set when u <= a."""
-        return _masks(tuple(zip(*self.raw.leq)))
-
     @cached_property
     def divisor_masks(self) -> tuple[int, ...]:
         """Entry v has bits a and b set for every product ab = v."""
@@ -285,11 +280,15 @@ def bounds_tables(leq):
     return tuple(map(tuple, join_t)), tuple(map(tuple, meet_t))
 
 
-def greatest_element(leq) -> Optional[int]:
-    for t in range(len(leq)):
-        if all(row[t] for row in leq):
-            return t
-    return None
+def _order_record(leq):
+    """The views of an order relation that the checks and the analysis read,
+    built once: (up masks, down masks, greatest element or None, join table,
+    meet table). The greatest element is the first t whose down mask is
+    full."""
+    up, down = _masks(leq), _masks(tuple(zip(*leq)))
+    full = (1 << len(leq)) - 1
+    e = down.index(full) if full in down else None
+    return (up, down, e) + bounds_tables(leq)
 
 
 # Each check below yields its tier's violations lazily, in a fixed order. The
@@ -412,19 +411,19 @@ def _pair_checks(mult, star):
     return _check_associativity(mult), _check_star_laws(mult, star)
 
 
-def _order_checks(raw: RawStructure, e, join_t, meet_t):
+def _order_checks(raw: RawStructure, record):
     """The checks that read the order, one per tier: po-groupoid, poe, vee,
-    wedge and the star's order preservation. ``e`` is the greatest element of
-    ``raw.leq`` or None."""
-    up, down = _masks(raw.leq), _masks(tuple(zip(*raw.leq)))
+    wedge and the star's order preservation, given ``record =
+    _order_record(raw.leq)``."""
+    up, down, e, join_t, meet_t = record
     return (_check_po_groupoid(raw, up, down), _check_poe(raw, e), _check_vee(raw.mult, join_t),
             _check_wedge(raw, meet_t), _check_star_order(raw.star, up))
 
 
-def _tier_checks(raw: RawStructure, e, join_t, meet_t):
+def _tier_checks(raw: RawStructure, record):
     """One lazy generator of violations per tier, in validation order."""
     associativity, star_laws = _pair_checks(raw.mult, raw.star)
-    po_groupoid, poe, vee, wedge, star_order = _order_checks(raw, e, join_t, meet_t)
+    po_groupoid, poe, vee, wedge, star_order = _order_checks(raw, record)
     return po_groupoid, associativity, poe, vee, wedge, chain(star_laws, star_order)
 
 
@@ -455,9 +454,10 @@ def _accept(failed_own: frozenset[str]) -> tuple[frozenset[str], tuple[Violation
     return frozenset(accepted), tuple(refused)
 
 
-def _algebra(raw: RawStructure, accepted, e, join_t, meet_t) -> OrderedAlgebra:
+def _algebra(raw: RawStructure, accepted, record) -> OrderedAlgebra:
+    up, down, e, join_t, meet_t = record
     return OrderedAlgebra(raw=raw, tiers=accepted, e=e if PO_GROUPOID in accepted else None,
-                          join_table=join_t, meet_table=meet_t)
+                          join_table=join_t, meet_table=meet_t, up_masks=up, down_masks=down)
 
 
 def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationReport]:
@@ -473,24 +473,21 @@ def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationRep
     the ones that read only the table and the star once per (table, star) pair
     (``_pair_failures``), the rest once per model (``_accepted_structure``).
     """
-    join_t, meet_t = bounds_tables(raw.leq)
-    e = greatest_element(raw.leq)
-    violations = [v for check in _tier_checks(raw, e, join_t, meet_t) for v in check]
+    record = _order_record(raw.leq)
+    violations = [v for check in _tier_checks(raw, record) for v in check]
     accepted, refused = _accept(frozenset(v.tier for v in violations))
     violations += refused
-    return (_algebra(raw, accepted, e, join_t, meet_t),
+    return (_algebra(raw, accepted, record),
             ValidationReport(accepted=accepted, violations=tuple(violations)))
 
 
-def _accepted_structure(raw: RawStructure, pair_failed, bounds) -> OrderedAlgebra:
+def _accepted_structure(raw: RawStructure, pair_failed, record) -> OrderedAlgebra:
     """The structure ``validate_structure`` returns, without its report, given
-    ``pair_failed = _pair_failures(raw.mult, raw.star)`` and ``bounds =
-    bounds_tables(raw.leq)``: only the checks that read the order run here,
-    each up to its first violation, and no record is kept."""
-    join_t, meet_t = bounds
-    e = greatest_element(raw.leq)
-    failed = pair_failed | _failed_tiers(_order_checks(raw, e, join_t, meet_t))
-    return _algebra(raw, _accept(failed)[0], e, join_t, meet_t)
+    ``pair_failed = _pair_failures(raw.mult, raw.star)`` and ``record =
+    _order_record(raw.leq)``: only the checks that read the order run here,
+    each up to its first violation, and no violation is kept."""
+    failed = pair_failed | _failed_tiers(_order_checks(raw, record))
+    return _algebra(raw, _accept(failed)[0], record)
 
 
 def reflexive_transitive_closure(n: int, pairs: Iterable[tuple[int, int]]):

@@ -7,8 +7,8 @@ are checked against something they do not share code with.
 
 from itertools import permutations, product
 
-from starsemi import RawStructure, validate_structure
-from starsemi.structure import equality_leq, greatest_element, reflexive_transitive_closure
+from starsemi import PO_GROUPOID, RawStructure, validate_structure
+from starsemi.structure import equality_leq, reflexive_transitive_closure
 
 EXAMPLE2_MULT = (
     (0, 0, 0, 0, 0),
@@ -82,6 +82,24 @@ def oracle_bounds_tables(leq):
         join_t.append(tuple(join_row))
         meet_t.append(tuple(meet_row))
     return tuple(join_t), tuple(meet_t)
+
+
+def greatest_element(leq):
+    """The first t with u <= t for every u, else None."""
+    for t in range(len(leq)):
+        if all(row[t] for row in leq):
+            return t
+    return None
+
+
+def oracle_order_views(S):
+    """(up masks, down masks, greatest element) of a validated structure, by
+    definition: bit u of entry a is set when a <= u (u <= a), and there is
+    no greatest element unless the po-groupoid tier is accepted."""
+    leq, n = S.leq, S.n
+    up = tuple(sum(1 << u for u in range(n) if leq[a][u]) for a in range(n))
+    down = tuple(sum(1 << u for u in range(n) if leq[u][a]) for a in range(n))
+    return up, down, greatest_element(leq) if PO_GROUPOID in S.tiers else None
 
 
 def all_posets(n):

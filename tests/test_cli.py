@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -157,6 +158,15 @@ def test_search_order3_sweep_exit_zero():
     assert "34 model" in out
 
 
+def test_search_default_tiers_print_as_their_explicit_spelling():
+    # the default tier set is closed under prerequisites, as --tiers is
+    default = run_cli("search", "--order", "3", "--claims", "all", "--json")
+    explicit = run_cli("search", "--order", "3", "--tiers", "involution,poe",
+                       "--claims", "all", "--json")
+    assert default == explicit
+    assert json.loads(default[1])["tiers"] == ["involution", "po-groupoid", "poe"]
+
+
 def test_search_counterexample_exit_one():
     code, out = run_cli("search", "--order", "2", "--tiers", "involution,poe",
                         "--claims", "mut-prop17-all-idem")
@@ -207,6 +217,24 @@ def test_search_counterexample_with_out_writes_the_whole_catalog(tmp_path):
     assert "COUNTEREXAMPLE" in out
     assert len((outdir / "index.txt").read_text().splitlines()) == 4
     assert len(list(outdir.glob("model_*.txt"))) == 4
+
+
+# sha256 of the output of the order-6 sweep below
+ORDER6_SWEEP_SHA256 = "a3ff650cb14685f2bddef47446f5f232b56c577f76024889dadd170173c6dc26"
+
+
+@pytest.mark.skipif(os.environ.get("STARSEMI_SLOW") != "1",
+                    reason="set STARSEMI_SLOW=1 to sweep the order-6 catalog")
+def test_slow_order6_sweep_passes_every_claim():
+    # every order-6 {involution, poe} model, each checked against every
+    # claim; about two minutes
+    code, out = run_cli("search", "--order", "6", "--tiers", "involution,poe",
+                        "--claims", "all", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["complete"] and "counterexample" not in doc
+    assert doc["models_checked"] == 319587
+    assert all(st["failures"] == 0 for st in doc["stats"])
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_SWEEP_SHA256
 
 
 def test_search_unknown_tier_exit_two():

@@ -15,13 +15,14 @@ from starsemi.enumeration import (
     _assoc_tables, _centralizer, _compatible_order_stream, _involutions,
 )
 from starsemi.fileformat import load_structure
-from starsemi.structure import equality_leq, greatest_element
+from starsemi.structure import equality_leq
 
 from conftest import fingerprint
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, admits_involution, all_posets, anti_automorphic,
-    brute_associative_tables, brute_canonical_form, chain2, commuting_perms, involutive_perms,
-    lex_leader, naive_model_forms, oracle_bounds_tables, search_walk, star_admitting_class_forms,
+    brute_associative_tables, brute_canonical_form, chain2, commuting_perms, greatest_element,
+    involutive_perms, lex_leader, naive_model_forms, oracle_bounds_tables, oracle_order_views,
+    search_walk, star_admitting_class_forms,
 )
 
 # Golden counts, established by the naive generate-filter-dedupe oracle at
@@ -257,6 +258,7 @@ def test_emitted_models_carry_the_tiers_and_bounds_of_full_validation():
             model, report = validate_structure(S.raw)
             assert S.tiers == report.accepted
             assert S == model  # same tables, greatest element, join and meet tables
+            assert (S.up_masks, S.down_masks, S.e) == oracle_order_views(S)
 
 
 def _counted(calls, f):
@@ -268,19 +270,21 @@ def _counted(calls, f):
 
 def test_recheck_runs_each_check_once_per_object_it_reads(monkeypatch):
     # associativity reads only the table: it runs once per (table, star)
-    # pair, as the star laws do; the bounds tables run once per order
-    pairs, assoc, bounds = [], [], []
+    # pair, as the star laws do; the record of an order, with its bounds
+    # tables, is built once per order
+    pairs, assoc, records, bounds = [], [], [], []
     monkeypatch.setattr(enumeration, "_filtered_orders",
                         _counted(pairs, enumeration._filtered_orders))
     monkeypatch.setattr(structure, "_check_associativity",
                         _counted(assoc, structure._check_associativity))
-    for module in (enumeration, structure):
-        monkeypatch.setattr(module, "bounds_tables", _counted(bounds, structure.bounds_tables))
-    enumeration._bounds.cache_clear()
+    monkeypatch.setattr(enumeration, "_order_record",
+                        _counted(records, structure._order_record))
+    monkeypatch.setattr(structure, "bounds_tables", _counted(bounds, structure.bounds_tables))
+    enumeration._record.cache_clear()
     models = list(enumerate_models(ModelSpec(order=4, required_tiers=frozenset({INVOLUTION, POE}))))
     assert len(models) == INVOLUTION_POE_MODELS[4]
     assert len(assoc) == len(pairs) == len({args[:2] for args in pairs}) == 83
-    assert len(bounds) == len({S.leq for S in models}) == 64
+    assert len(records) == len(bounds) == len({S.leq for S in models}) == 64
 
 
 def test_a_model_missing_a_required_tier_is_an_error(monkeypatch):

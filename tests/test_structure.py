@@ -20,13 +20,14 @@ from starsemi import (
 )
 from starsemi.sampling import random_model
 from starsemi.structure import (
-    _accepted_structure, _pair_failures, bounds_tables, chain_leq, reflexive_transitive_closure,
+    _accepted_structure, _order_record, _pair_failures, bounds_tables, chain_leq,
+    reflexive_transitive_closure,
 )
 import random
 
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, chain2, diamond_constant, example2, mk, one_point,
-    oracle_bounds_tables, oracle_violations, scan_join, scan_meet,
+    oracle_bounds_tables, oracle_order_views, oracle_violations, scan_join, scan_meet,
 )
 
 
@@ -237,9 +238,12 @@ def test_first_violation_check_accepts_what_full_validation_accepts(raw):
     S, report = validate_structure(raw)
     pair_failed = _pair_failures(raw.mult, raw.star)
     assert pair_failed == {v.tier for v in report.violations if v.axiom in PAIR_AXIOMS}
-    T = _accepted_structure(raw, pair_failed, bounds_tables(raw.leq))
+    T = _accepted_structure(raw, pair_failed, _order_record(raw.leq))
     assert T.tiers == report.accepted
     assert T == S  # same tables, greatest element and tier set
+    # the masks take no part in equality: both carry the masks of the order
+    assert (S.up_masks, S.down_masks, S.e) == (T.up_masks, T.down_masks, T.e) \
+        == oracle_order_views(S)
 
 
 @settings(deadline=None, max_examples=300)
