@@ -56,6 +56,8 @@ def _load(path):
 
 def _parse_tiers(text: str) -> frozenset[str]:
     names = [t.strip() for t in text.split(",") if t.strip()]
+    if not names:
+        raise _Failure(f"no tier named in {text!r}", EXIT_USAGE)
     for t in names:
         if t not in ALL_TIERS:
             raise _Failure(
@@ -73,7 +75,7 @@ def _cmd_validate(args, out):
     if args.max_witnesses < 0:
         raise _Failure("max-witnesses must be >= 0", EXIT_USAGE)
     S, report = _load(args.file)
-    expected = _parse_tiers(args.expect) if args.expect else frozenset({PO_GROUPOID})
+    expected = _parse_tiers(args.expect) if args.expect is not None else frozenset({PO_GROUPOID})
     missing = sorted(expected - report.accepted)
     if args.json:
         doc = {
@@ -209,7 +211,7 @@ def _cmd_filters(args, out):
 
 
 def _cmd_search(args, out):
-    tiers = _parse_tiers(args.tiers or "involution,poe")
+    tiers = _parse_tiers("involution,poe" if args.tiers is None else args.tiers)
     spec = ModelSpec(order=args.order, required_tiers=tiers, limit=args.limit)
     report, models = _sweep(spec, () if args.claims is None else _select_claims(args.claims))
     if args.out:

@@ -61,9 +61,9 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Iterable, Iterator, Optional
 
 from .claims import (
@@ -72,8 +72,8 @@ from .claims import (
 from .fileformat import serialize_structure
 from .structure import (
     BITS, INVOLUTION, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, RawStructure, StructureError,
-    VEE, WEDGE, _accepted_structure, _check_vee, _order_record, _pair_failures, equality_leq,
-    tier_closure,
+    VEE, WEDGE, _Memo, _accepted_structure, _check_vee, _order_record, _pair_failures,
+    equality_leq, tier_closure,
 )
 
 EXHAUSTIVE_MAX_ORDER = 6
@@ -85,7 +85,8 @@ class ModelSpec:
     """Enumeration request, refused past ``EXHAUSTIVE_MAX_ORDER``.
     ``required_tiers`` is closed under prerequisites and always includes the
     po-semigroup tier (the search space is associative tables). ``limit``
-    caps the emitted stream."""
+    caps the stream of ``enumerate_models``; a sweep reads one model past it
+    to tell a truncated stream from an exact fit."""
 
     order: int
     required_tiers: frozenset[str] = frozenset()
@@ -563,18 +564,6 @@ def _centralizer(star, perms=None):
 # ---------------------------------------------------------------------------
 # compatible order search
 
-class _Memo(dict):
-    """Dict that computes and keeps ``fn(key)`` for a missing key."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _implied_pairs(mult, star):
     """For each ordered pair (p, q), the distinct pairs (u, v) that p <= q
     forces: (pc, qc) and (cp, cq) by compatibility, (p*, q*) by the star."""
@@ -721,10 +710,6 @@ def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_j
         yield leq
 
 
-def _nontrivial(perms):
-    return [p for p in perms if any(p[i] != i for i in range(len(p)))]
-
-
 def compatible_orders(mult, star=None, *, require_greatest=False, require_joins=False,
                       require_meets=False, require_join_distributivity=False,
                       dedupe=True) -> Iterator[tuple[tuple[bool, ...], ...]]:
@@ -746,9 +731,10 @@ def compatible_orders(mult, star=None, *, require_greatest=False, require_joins=
         # any order can make the triple valid; otherwise the stream is empty
         if any(star[star[x]] != x for x in range(n)) or not _anti_automorphic(mult, star):
             return
-    auts = automorphisms(mult, star=star) if dedupe else []
+    # the group is sorted, so the identity comes first
+    auts = automorphisms(mult, star=star)[1:] if dedupe else []
     yield from _filtered_orders(
-        mult, star, _nontrivial(auts), require_greatest=require_greatest,
+        mult, star, auts, require_greatest=require_greatest,
         require_joins=require_joins, require_meets=require_meets,
         require_join_distributivity=require_join_distributivity)
 
@@ -758,15 +744,16 @@ def compatible_orders(mult, star=None, *, require_greatest=False, require_joins=
 
 def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
     """Exactly one representative per isomorphism class of models with the
-    requested tiers; deterministic order."""
-    n = spec.order
-    tiers = spec.required_tiers
+    requested tiers, the first ``spec.limit`` of them; deterministic order."""
+    # a generator function, not the islice itself: a reader may close() the stream
+    yield from islice(_models(spec.order, spec.required_tiers), spec.limit)
+
+
+def _models(n, tiers):
+    """The model stream of ``enumerate_models``, with no limit."""
     want_star = INVOLUTION in tiers
-    if spec.limit == 0:
-        return
-    emitted = 0
     for mult in semigroup_representatives(n, star_admitting=want_star):
-        auts = _nontrivial(automorphisms(mult))
+        auts = automorphisms(mult)[1:]  # the group is sorted, so the identity comes first
         if want_star:
             # the least star of each conjugacy class under the automorphisms,
             # each with its stabilizer, the automorphisms of (mult, star)
@@ -782,9 +769,6 @@ def enumerate_models(spec: ModelSpec) -> Iterator[OrderedAlgebra]:
                     require_joins=VEE in tiers, require_meets=WEDGE in tiers,
                     require_join_distributivity=VEE in tiers):
                 yield _finish_model(mult, leq, star, tiers, pair_failed)
-                emitted += 1
-                if spec.limit is not None and emitted >= spec.limit:
-                    return
 
 
 def _finish_model(mult, leq, star, tiers, pair_failed):
@@ -859,8 +843,9 @@ def _sweep(spec: ModelSpec,
                          stats={cid: ClaimSweepStats(cid) for cid in ids})
 
     def models():
-        # the limit is kept here: a model past it tells a truncated stream from an exact fit
-        for seen, model in enumerate(enumerate_models(replace(spec, limit=None))):
+        # the stream is read past the limit: a model there tells a truncated
+        # stream from an exact fit
+        for seen, model in enumerate(_models(spec.order, spec.required_tiers)):
             if seen == spec.limit:
                 report.complete = False  # partial-stream marker: the cap truncated
                 return

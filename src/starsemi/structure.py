@@ -43,46 +43,44 @@ TIER_PREREQS = {
 }
 
 
-class _BitLists(dict):
-    """``BITS[mask]``: the element indices in a bitmask, ascending. Masks
-    below 2**12 are kept once computed."""
+class _Memo(dict):
+    """Dict that computes ``fn(key)`` for a missing key and keeps it when
+    ``keep(key)`` holds, or always without ``keep``; a hit is a plain lookup."""
 
-    def __missing__(self, mask):
-        out = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out.append(low.bit_length() - 1)
-            rest ^= low
-        out = tuple(out)
-        if mask < 4096:
-            self[mask] = out
-        return out
+    def __init__(self, fn, keep=None):
+        super().__init__()
+        self.fn = fn
+        self.keep = keep
 
-
-BITS = _BitLists()
+    def __missing__(self, key):
+        value = self.fn(key)
+        if self.keep is None or self.keep(key):
+            self[key] = value
+        return value
 
 
-class _RowMasks(dict):
-    """``_ROW_MASKS[row]``: a row of booleans as a bitmask, bit j set when
-    row[j] is true. Rows of up to 8 entries are kept once computed."""
-
-    def __missing__(self, row):
-        mask = sum(compress([1 << j for j in range(len(row))], row))
-        if len(row) <= 8:
-            self[row] = mask
-        return mask
+def _bit_list(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-_ROW_MASKS = _RowMasks()
+# ``BITS[mask]``: the element indices in a bitmask, ascending; masks below
+# 2**12 are kept
+BITS = _Memo(_bit_list, keep=lambda mask: mask < 4096)
+
+# ``_ROW_MASKS[row]``: a row of booleans as a bitmask, bit j set when row[j]
+# is true; rows of up to 8 entries are kept
+_ROW_MASKS = _Memo(lambda row: sum(compress([1 << j for j in range(len(row))], row)),
+                   keep=lambda row: len(row) <= 8)
 
 
 def _masks(rows) -> tuple[int, ...]:
-    """Each boolean row as a bitmask: bit j of entry i is rows[i][j]."""
-    try:
-        return tuple(map(_ROW_MASKS.__getitem__, rows))
-    except TypeError:  # unhashable rows, such as lists
-        return tuple(_ROW_MASKS[tuple(row)] for row in rows)
+    """Each boolean row (a tuple) as a bitmask: bit j of entry i is rows[i][j]."""
+    return tuple(map(_ROW_MASKS.__getitem__, rows))
 
 
 class StructureError(ValueError):
@@ -261,6 +259,7 @@ def bounds_tables(leq):
     U = up[a] & up[b] with U a subset of up[u]; the meet is the dual. An entry
     is None when no element or more than one qualifies, so the tables are
     defined even when ``leq`` is not a partial order."""
+    leq = tuple(map(tuple, leq))
     n = len(leq)
     up = _masks(leq)
     down = _masks(tuple(zip(*leq)))

@@ -4,8 +4,12 @@ Each test records a one-line PASS/FAIL verdict that pytest prints in the
 "acceptance criteria" terminal section at the end of the run.
 """
 
+import hashlib
+import os
 import time
 from contextlib import contextmanager
+
+import pytest
 
 from starsemi import (
     INVOLUTION, PO_SEMIGROUP, POE,
@@ -49,6 +53,12 @@ MUTANT_OUTCOMES = {
 CATALOG_5_FINGERPRINT = "v2-31cea26995317ba20da382ef53c8e8df9b84abcb4aad60a315b166e633b1c202"
 VERDICTS_5_FINGERPRINT = "v2-1e71955b5209360bbe618066ac25007167e36a48b0c6d1f8751ef095b8dce492"
 MUTANTS_5_FINGERPRINT = "v2-d7c2ad9222b2fe88e0132237e60ea0052e143378cd327de4ab3244eabb5c2907"
+# The same two fingerprints of the order-6 involution-poe catalog (319,587
+# models). Criterion 2's form would be 10.5 M verdict lines, so the verdict
+# fingerprint has one line per model: its digest, then the sha256 of its
+# per-claim lines "id status instances vacuous", in registry order
+CATALOG_6_FINGERPRINT = "v2-fa465434094981fd7338c4f2aaff5b52a37073f8e21807e042f9f7a221a9a55f"
+VERDICTS_6_FINGERPRINT = "v2-4e49a2292445c1c3fa4a251950d4b32a40a80848aae3439f11e4a0da4e578721"
 
 
 @contextmanager
@@ -128,6 +138,26 @@ def test_criterion_2_exhaustive_claim_sweep(catalog_5):
         assert fingerprint(verdicts) == VERDICTS_5_FINGERPRINT
         assert len(mutants) == 61200
         assert fingerprint(mutants) == MUTANTS_5_FINGERPRINT
+
+
+@pytest.mark.skipif(os.environ.get("STARSEMI_SLOW") != "1",
+                    reason="set STARSEMI_SLOW=1 to fingerprint the order-6 catalog")
+def test_slow_order6_catalog_and_verdict_fingerprints():
+    # about two and a half minutes: the stream, the claims and the canonical forms
+    ids = [c.id for c in list_claims()]
+    digests, verdicts = [], []
+    for S in enumerate_models(ModelSpec(order=6, required_tiers=INV_POE)):
+        digest = canonical_form(S).digest
+        digests.append(digest)
+        ctx = StructureAnalysis(S)
+        lines = []
+        for cid in ids:
+            rep = check_claim(S, cid, ctx)
+            lines.append(f"{cid} {rep.status} {rep.instances_checked} {rep.vacuous}")
+        verdicts.append(f"{digest} {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
+    assert len(digests) == 319587
+    assert fingerprint(digests) == CATALOG_6_FINGERPRINT
+    assert fingerprint(verdicts) == VERDICTS_6_FINGERPRINT
 
 
 class _Discard:

@@ -326,3 +326,36 @@ def test_a_closed_stdout_ends_the_run_without_a_traceback():
     _, err = proc.communicate(timeout=120)
     assert b"Traceback" not in err
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("search", "--order", "2", "--tiers", ""),
+    ("search", "--order", "2", "--tiers", ","),
+    ("validate", str(STRUCTURES / "example2.txt"), "--expect", ""),
+    ("validate", str(STRUCTURES / "example2.txt"), "--expect", ","),
+])
+def test_a_tier_list_naming_no_tier_exit_two(argv):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+
+
+# sha256 over the exit code, stdout and stderr of every run below. A
+# deliberate change of the output must update it and say so in CHANGES.md.
+SHIPPED_OUTPUT_SHA256 = "37f4c861eacc48cc2470245746ea03314879fbc11d5d2bc1a68f7dc77d9cd0e4"
+
+
+def test_output_on_every_shipped_structure_is_unchanged(capsys, monkeypatch):
+    # the five subcommands that read a file, plain and --json, on every file
+    # of structures/ (the paths are relative, so the digest does not depend on
+    # where the repo lives)
+    monkeypatch.chdir(STRUCTURES.parent)
+    digest = hashlib.sha256()
+    for path in sorted(STRUCTURES.glob("*.txt")):
+        name = f"structures/{path.name}"
+        for argv in (["validate", name], ["classify", name], ["check", name, "--claims", "all"],
+                     ["filters", name], ["orders", name]):
+            for flags in ([], ["--json"]):
+                code = run(argv + flags)
+                captured = capsys.readouterr()
+                digest.update(repr((argv + flags, code, captured.out, captured.err)).encode())
+    assert digest.hexdigest() == SHIPPED_OUTPUT_SHA256

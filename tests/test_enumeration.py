@@ -89,8 +89,16 @@ def test_labeled_associative_counts():
         assert sum(1 for _ in associative_tables(n)) == want
 
 
-def test_associative_tables_is_a_stream():
-    assert inspect.isgenerator(associative_tables(4))
+@pytest.mark.parametrize("stream", [
+    lambda: associative_tables(4),
+    lambda: enumerate_models(ModelSpec(2, frozenset({INVOLUTION, POE}))),
+    lambda: compatible_orders(EXAMPLE2_MULT, EXAMPLE2_STAR),
+], ids=["associative_tables", "enumerate_models", "compatible_orders"])
+def test_associative_tables_is_a_stream(stream):
+    # generators, with close(): the perfbench tracer closes every stream it wraps
+    stream = stream()
+    assert inspect.isgenerator(stream)
+    stream.close()
 
 
 def test_pruning_never_excludes_a_completable_table():
@@ -493,12 +501,16 @@ def test_negative_limit_is_refused():
 
 def test_collect_and_search_agree_on_the_partial_stream_marker():
     tiers = frozenset({INVOLUTION, POE})
-    for limit, complete in ((5, False), (INVOLUTION_POE_MODELS[3], True)):
+    total = INVOLUTION_POE_MODELS[3]
+    everything = list(enumerate_models(ModelSpec(order=3, required_tiers=tiers)))
+    assert len(everything) == total
+    for limit in (0, 1, 5, total, total + 1):
         spec = ModelSpec(order=3, required_tiers=tiers, limit=limit)
         models, collected_complete = collect_models(spec)
         rep = search_counterexample(spec, ("prop07",))
-        assert collected_complete == rep.complete == complete
-        assert len(models) == rep.models_checked == limit
+        assert list(enumerate_models(spec)) == models == everything[:limit]
+        assert collected_complete == rep.complete == (limit >= total)
+        assert len(models) == rep.models_checked == min(limit, total)
 
 
 def test_search_empty_claims_is_empty_report():
