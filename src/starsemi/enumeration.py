@@ -43,17 +43,23 @@ canonical labeling and the automorphism group together.
 
 Every emitted model is re-checked against every axiom tier with the checks of
 ``validate_structure``, each read up to its first violation, and each part is
-paid once per object it reads. Associativity and the star laws (involutive,
-anti-homomorphism) read only the table and the star: they run once per
-(table, star) pair, before its order stream. What the checks read of the
-order alone (its up-set and down-set bitmasks, its greatest element and its
-join and meet tables) is one record, built once per order while it stays in
-a bounded LRU cache; the order filter of the lattice tiers reads the same
-record, and each model carries it. Only the checks that read the order run
-once per model: the order axioms and compatibility, the greatest element,
-joins and join-distributivity, meets and the star's order preservation. For
-its 10,200 models, the order-5 involution-poe stream runs the pair checks 542
-times and builds the records of 756 orders.
+paid once per object it reads. The table and the star are range-checked once
+per (table, star) pair, into one ``RawStructure`` that each model of the pair
+takes with its own order, and associativity and the star laws (involutive,
+anti-homomorphism), which read only the table and the star, run once per pair,
+before its order stream. What the checks read of the order alone (its up-set
+and down-set bitmasks, its greatest element, its join and meet tables, its
+covering and incomparable pairs) and the verdicts of the checks that read
+nothing else (the order axioms, the greatest element, joins and meets) are one
+record, built once per order while it stays in a bounded LRU cache; the order
+filter of the lattice tiers reads the same record, and each model carries it.
+Only the checks that read the model run once per model: compatibility,
+join-distributivity and the star's order preservation. Each runs on a gate:
+an order whose covering pairs pass compatibility and order preservation
+passes them on every comparable pair, and a monotone model can fail
+join-distributivity only at an incomparable pair. For its 10,200 models, the
+order-5 involution-poe stream checks 542 pairs and builds the records of 756
+orders.
 """
 
 from __future__ import annotations
@@ -72,8 +78,8 @@ from .claims import (
 from .fileformat import serialize_structure
 from .structure import (
     BITS, INVOLUTION, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, RawStructure, StructureError,
-    VEE, WEDGE, _Memo, _accepted_structure, _check_vee, _order_record, _pair_failures,
-    equality_leq, tier_closure,
+    VEE, WEDGE, _Memo, _accepted_structure, _check_join_distributive, _order_record,
+    _pair_failures, equality_leq, tier_closure,
 )
 
 EXHAUSTIVE_MAX_ORDER = 6
@@ -700,12 +706,15 @@ def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_j
         if nontrivial_auts and any(_apply_perm_leq(leq, p) < leq for p in nontrivial_auts):
             continue
         if require_joins or require_meets or require_join_distributivity:
-            join_t, meet_t = _record(leq)[3:]
-            if require_joins and any(v is None for row in join_t for v in row):
+            record = _record(leq)
+            if (require_joins or require_join_distributivity) and VEE in record.failed:
+                continue  # a pair without a join
+            if require_meets and WEDGE in record.failed:
                 continue
-            if require_meets and any(v is None for row in meet_t for v in row):
-                continue
-            if require_join_distributivity and next(_check_vee(mult, join_t), None) is not None:
+            # the stream's orders are compatible partial orders, so only the
+            # incomparable pairs can fail join-distributivity (``_model_checks``)
+            if require_join_distributivity and next(_check_join_distributive(
+                    mult, record.join_table, record.apart), None) is not None:
                 continue
         yield leq
 
@@ -763,19 +772,21 @@ def _models(n, tiers):
         else:
             pairs = [(None, auts)]
         for star, stab in pairs:
+            # the table and the star, checked once for every model of the pair
+            pair = RawStructure(n=n, mult=mult, leq=equality_leq(n), star=star)
             pair_failed = _pair_failures(mult, star)
             for leq in _filtered_orders(
                     mult, star, stab, require_greatest=POE in tiers,
                     require_joins=VEE in tiers, require_meets=WEDGE in tiers,
                     require_join_distributivity=VEE in tiers):
-                yield _finish_model(mult, leq, star, tiers, pair_failed)
+                yield _finish_model(pair, leq, tiers, pair_failed)
 
 
-def _finish_model(mult, leq, star, tiers, pair_failed):
+def _finish_model(pair, leq, tiers, pair_failed):
     # the full tier set of the model: ``pair_failed`` holds the tiers that the
-    # checks of (mult, star) failed, and the checks that read leq run here
-    model = _accepted_structure(RawStructure(n=len(mult), mult=mult, leq=leq, star=star),
-                                pair_failed, _record(leq))
+    # checks of (mult, star) failed, the record those that the order alone
+    # fails, and the checks that read the model run here
+    model = _accepted_structure(pair._with_order(leq), pair_failed, _record(leq))
     missing = tiers - model.tiers
     if missing:  # a bug in the search
         raise RuntimeError(f"enumerated model misses tiers {sorted(missing)}")

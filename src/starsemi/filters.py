@@ -117,23 +117,30 @@ def filter_oracle(S: OrderedAlgebra, x: int) -> frozenset[int]:
 def thm26_set(S: OrderedAlgebra, x: int) -> frozenset[int]:
     """The set {y | x <= e y* e}, the claimed description of the filter of x
     on star-intra-regular structures (see claims thm26-fwd/thm26-conv)."""
-    return frozenset(BITS[_window_masks(S)[x]])
+    up_x = S.up_masks[x]
+    return frozenset(y for y, v in enumerate(_sandwiches(S)) if up_x >> v & 1)
 
 
 def _window_masks(S: OrderedAlgebra) -> tuple[int, ...]:
     """The mask of {y | x <= e y* e} for each x: y joins the window of every
     x below e y* e."""
+    down = S.down_masks
+    out = [0] * S.n
+    for y, v in enumerate(_sandwiches(S)):
+        for x in BITS[down[v]]:
+            out[x] |= 1 << y
+    return tuple(out)
+
+
+def _sandwiches(S: OrderedAlgebra) -> tuple[int, ...]:
+    """e y* e for each y: y is in the window of x when x <= e y* e."""
     if S.e is None:
         raise ValueError("thm26_set needs a structure with a greatest element")
     if not S.has(INVOLUTION):
         raise ValueError("thm26_set needs an involution")
-    e, mult, star, down = S.e, S.mult, S.star, S.down_masks
+    e, mult = S.e, S.mult
     row_e = mult[e]
-    out = [0] * S.n
-    for y, c in enumerate(star):
-        for x in BITS[down[mult[row_e[c]][e]]]:
-            out[x] |= 1 << y
-    return tuple(out)
+    return tuple(mult[row_e[c]][e] for c in S.star)
 
 
 def n_class_partition(S: OrderedAlgebra) -> NClassPartition:

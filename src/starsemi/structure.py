@@ -6,8 +6,9 @@ involution given as a permutation. Validation sorts the structure into axiom
 tiers (which form a lattice under prerequisites, not a chain). The views of
 the order that the validation and the analysis modules read (the up-set and
 down-set bitmasks, the greatest element and the partial join/meet tables) are
-built once, as one record per order, and the validated structure carries it;
-the divisor bitmasks are built on first use.
+built once, as one record per order, with the verdicts of the checks that read
+only the order and the order's covering and incomparable pairs; the validated
+structure carries the record, and the divisor bitmasks are built on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 MAX_ORDER = 24
 
@@ -157,6 +158,16 @@ class RawStructure:
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels else str(x)
 
+    def _with_order(self, leq) -> "RawStructure":
+        """This structure with the order ``leq``, a tuple of n tuples of
+        bools, taken as it is: the table and the star were checked when this
+        one was built, and nothing is copied or checked again."""
+        out = object.__new__(RawStructure)
+        for name, value in (("n", self.n), ("mult", self.mult), ("leq", leq),
+                            ("star", self.star), ("labels", self.labels)):
+            object.__setattr__(out, name, value)
+        return out
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -279,23 +290,56 @@ def bounds_tables(leq):
     return tuple(map(tuple, join_t)), tuple(map(tuple, meet_t))
 
 
-def _order_record(leq):
+class _OrderRecord(NamedTuple):
     """The views of an order relation that the checks and the analysis read,
-    built once: (up masks, down masks, greatest element or None, join table,
-    meet table). The greatest element is the first t whose down mask is
-    full."""
+    with the verdicts of the checks that read nothing else. ``failed`` holds
+    the tiers whose order-only check fails (``_order_only_checks``). On a
+    partial order, ``covers[a]`` has bit b set when b covers a (a < b with
+    nothing between) and ``apart[a]`` when a < b by index and a and b are
+    incomparable; on any other relation both are None."""
+
+    up: tuple[int, ...]
+    down: tuple[int, ...]
+    e: Optional[int]
+    join_table: tuple[tuple[Optional[int], ...], ...]
+    meet_table: tuple[tuple[Optional[int], ...], ...]
+    failed: frozenset[str]
+    covers: Optional[tuple[int, ...]]
+    apart: Optional[tuple[int, ...]]
+
+
+def _order_record(leq) -> _OrderRecord:
+    """The record of an order relation, built once: its up and down masks,
+    its greatest element (the first t whose down mask is full), its join and
+    meet tables, the tiers its order-only checks fail, and on a partial order
+    its covering and incomparable pairs."""
     up, down = _masks(leq), _masks(tuple(zip(*leq)))
-    full = (1 << len(leq)) - 1
+    n = len(leq)
+    full = (1 << n) - 1
     e = down.index(full) if full in down else None
-    return (up, down, e) + bounds_tables(leq)
+    join_t, meet_t = bounds_tables(leq)
+    failed = _failed_tiers(_order_only_checks(leq, up, down, e, join_t, meet_t))
+    covers = apart = None
+    if PO_GROUPOID not in failed:
+        strict = [u & ~(1 << a) for a, u in enumerate(up)]
+        covers, apart = [], []
+        for a, above in enumerate(strict):
+            between = 0
+            for b in BITS[above]:
+                between |= strict[b]
+            covers.append(above & ~between)
+            apart.append(full & ~((2 << a) - 1) & ~(up[a] | down[a]))
+        covers, apart = tuple(covers), tuple(apart)
+    return _OrderRecord(up, down, e, join_t, meet_t, failed, covers, apart)
 
 
 # Each check below yields its tier's violations lazily, in a fixed order. The
 # up[a] / down[a] bitmasks hold the u with a <= u / u <= a, so the loops visit
-# only the pairs that can fail.
+# only the pairs that can fail; the checks that read the model as well take
+# the pairs to visit as masks, pairs[a] holding the b of each pair (a, b).
 
-def _check_po_groupoid(raw: RawStructure, up, down):
-    n, mult, leq = raw.n, raw.mult, raw.leq
+def _check_order_axioms(up, down):
+    n = len(up)
     for a in range(n):
         if not up[a] >> a & 1:
             yield Violation(PO_GROUPOID, "order-reflexive", (a,), "a <= a fails")
@@ -308,10 +352,14 @@ def _check_po_groupoid(raw: RawStructure, up, down):
             for c in BITS[up[b] & ~up[a]]:
                 yield Violation(PO_GROUPOID, "order-transitive", (a, b, c),
                                 "a <= b <= c but not a <= c")
+
+
+def _check_compat(mult, leq, pairs):
+    n = len(mult)
     cols = tuple(zip(*mult))
     for a in range(n):
         ra, ca = mult[a], cols[a]
-        for b in BITS[up[a]]:
+        for b in BITS[pairs[a]]:
             rb, cb = mult[b], cols[b]
             for c in range(n):
                 if not leq[ra[c]][rb[c]]:
@@ -333,27 +381,31 @@ def _check_associativity(mult):
                     yield Violation(PO_SEMIGROUP, "associative", (a, b, c), "(ab)c != a(bc)")
 
 
-def _check_poe(raw: RawStructure, e):
+def _check_poe(leq, e):
     if e is None:
-        n = len(raw.leq)
+        n = len(leq)
         maximal = [a for a in range(n)
-                   if all(not raw.leq[a][b] or a == b for b in range(n))]
+                   if all(not leq[a][b] or a == b for b in range(n))]
         witness = tuple(maximal[:2])
         yield Violation(POE, "greatest-element", witness, "no greatest element exists")
 
 
-def _check_vee(mult, join_t):
+def _check_bounds(table, tier, axiom, message):
+    # the pairs without a bound in a join or meet table
+    if any(None in row for row in table):
+        for a, row in enumerate(table):
+            for b, ab in enumerate(row):
+                if ab is None:
+                    yield Violation(tier, axiom, (a, b), message)
+
+
+def _check_join_distributive(mult, join_t, pairs):
+    # reads a join table without a missing entry
     n = len(mult)
-    if any(None in row for row in join_t):
-        for a in range(n):
-            for b in range(n):
-                if join_t[a][b] is None:
-                    yield Violation(VEE, "join-exists", (a, b), "pair has no least upper bound")
-        return
     cols = tuple(zip(*mult))
     for a in range(n):
         ra, ca = mult[a], cols[a]
-        for b in range(n):
+        for b in BITS[pairs[a]]:
             rb, cb = mult[b], cols[b]
             ab = join_t[a][b]
             r_ab, c_ab = mult[ab], cols[ab]
@@ -364,15 +416,6 @@ def _check_vee(mult, join_t):
                 if join_t[ca[c]][cb[c]] != c_ab[c]:
                     yield Violation(VEE, "join-distributive-left", (a, b, c),
                                     "c(a v b) != ca v cb")
-
-
-def _check_wedge(raw: RawStructure, meet_t):
-    if any(None in row for row in meet_t):
-        for a in range(raw.n):
-            for b in range(raw.n):
-                if meet_t[a][b] is None:
-                    yield Violation(WEDGE, "meet-exists", (a, b),
-                                    "pair has no greatest lower bound")
 
 
 def _check_star_laws(mult, star):
@@ -392,13 +435,13 @@ def _check_star_laws(mult, star):
                 yield Violation(INVOLUTION, "anti-homomorphism", (a, b), "(ab)* != b*a*")
 
 
-def _check_star_order(star, up):
+def _check_star_order(star, up, pairs):
     # the part of the involution tier that reads the order
     if star is None:
         return
     for a in range(len(star)):
         up_sa = up[star[a]]
-        for b in BITS[up[a]]:
+        for b in BITS[pairs[a]]:
             if not up_sa >> star[b] & 1:
                 yield Violation(INVOLUTION, "order-preserving", (a, b),
                                 "a <= b but not a* <= b*")
@@ -410,20 +453,58 @@ def _pair_checks(mult, star):
     return _check_associativity(mult), _check_star_laws(mult, star)
 
 
-def _order_checks(raw: RawStructure, record):
-    """The checks that read the order, one per tier: po-groupoid, poe, vee,
-    wedge and the star's order preservation, given ``record =
-    _order_record(raw.leq)``."""
-    up, down, e, join_t, meet_t = record
-    return (_check_po_groupoid(raw, up, down), _check_poe(raw, e), _check_vee(raw.mult, join_t),
-            _check_wedge(raw, meet_t), _check_star_order(raw.star, up))
+def _order_only_checks(leq, up, down, e, join_t, meet_t):
+    """The checks that read only the order, one per tier: the order axioms
+    (po-groupoid), the greatest element (poe), joins (vee) and meets
+    (wedge), given the views of ``_order_record``."""
+    return (_check_order_axioms(up, down), _check_poe(leq, e),
+            _check_bounds(join_t, VEE, "join-exists", "pair has no least upper bound"),
+            _check_bounds(meet_t, WEDGE, "meet-exists", "pair has no greatest lower bound"))
+
+
+def _model_checks(raw: RawStructure, record, every=False):
+    """The checks that read the table or the star as well as the order, one
+    per tier: compatibility (po-groupoid), join-distributivity (vee) and the
+    star's order preservation (involution), given ``record =
+    _order_record(raw.leq)``.
+
+    Each runs on a gate. On a partial order, a check of a <= b that passes
+    on the covering pairs passes on every comparable pair by transitivity,
+    so compatibility and order preservation have nothing left to list. A
+    model that is monotone on every comparable pair a <= b has (a v b)c = bc
+    = ac v bc there, and c(a v b) = cb = ca v cb, so join-distributivity
+    lists only the incomparable pairs: those with a < b when only the first
+    violation is read, since the join table is symmetric, and both orders of
+    each with ``every``. Where the gate fails, each check visits every
+    comparable pair, and join-distributivity every pair."""
+    mult, leq, star, n = raw.mult, raw.leq, raw.star, raw.n
+    up, join_t, failed, covers = record.up, record.join_table, record.failed, record.covers
+    full = (1 << n) - 1
+    ordered = PO_GROUPOID not in failed
+    if ordered and next(_check_compat(mult, leq, covers), None) is None:
+        compat = iter(())
+        if every:
+            pairs = tuple(full & ~(u | d) for u, d in zip(up, record.down))
+        else:
+            pairs = record.apart
+    else:
+        compat, pairs = _check_compat(mult, leq, up), (full,) * n
+    # join-distributivity reads the joins, so it runs only when all exist
+    distributive = iter(()) if VEE in failed else _check_join_distributive(mult, join_t, pairs)
+    if ordered and next(_check_star_order(star, up, covers), None) is None:
+        star_order = iter(())
+    else:
+        star_order = _check_star_order(star, up, up)
+    return compat, distributive, star_order
 
 
 def _tier_checks(raw: RawStructure, record):
     """One lazy generator of violations per tier, in validation order."""
     associativity, star_laws = _pair_checks(raw.mult, raw.star)
-    po_groupoid, poe, vee, wedge, star_order = _order_checks(raw, record)
-    return po_groupoid, associativity, poe, vee, wedge, chain(star_laws, star_order)
+    order_axioms, poe, joins, meets = _order_only_checks(raw.leq, *record[:5])
+    compat, distributive, star_order = _model_checks(raw, record, every=True)
+    return (chain(order_axioms, compat), associativity, poe, chain(joins, distributive), meets,
+            chain(star_laws, star_order))
 
 
 def _failed_tiers(checks) -> frozenset[str]:
@@ -454,9 +535,10 @@ def _accept(failed_own: frozenset[str]) -> tuple[frozenset[str], tuple[Violation
 
 
 def _algebra(raw: RawStructure, accepted, record) -> OrderedAlgebra:
-    up, down, e, join_t, meet_t = record
-    return OrderedAlgebra(raw=raw, tiers=accepted, e=e if PO_GROUPOID in accepted else None,
-                          join_table=join_t, meet_table=meet_t, up_masks=up, down_masks=down)
+    return OrderedAlgebra(raw=raw, tiers=accepted,
+                          e=record.e if PO_GROUPOID in accepted else None,
+                          join_table=record.join_table, meet_table=record.meet_table,
+                          up_masks=record.up, down_masks=record.down)
 
 
 def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationReport]:
@@ -468,9 +550,11 @@ def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationRep
     the owning tier from the accepted set. A tier refused for a missing
     prerequisite gets one "prerequisite" record at the end. The accepted set
     depends only on which tiers have some violation, so the enumeration's
-    re-check reads only the first violation of each tier from the same checks:
-    the ones that read only the table and the star once per (table, star) pair
-    (``_pair_failures``), the rest once per model (``_accepted_structure``).
+    re-check reads only the first violation of each tier from the same checks,
+    each once per object it reads: the ones that read only the table and the
+    star once per (table, star) pair (``_pair_failures``), the ones that read
+    only the order once per order (``_order_record``), and the rest once per
+    model (``_accepted_structure``).
     """
     record = _order_record(raw.leq)
     violations = [v for check in _tier_checks(raw, record) for v in check]
@@ -483,9 +567,10 @@ def validate_structure(raw: RawStructure) -> tuple[OrderedAlgebra, ValidationRep
 def _accepted_structure(raw: RawStructure, pair_failed, record) -> OrderedAlgebra:
     """The structure ``validate_structure`` returns, without its report, given
     ``pair_failed = _pair_failures(raw.mult, raw.star)`` and ``record =
-    _order_record(raw.leq)``: only the checks that read the order run here,
-    each up to its first violation, and no violation is kept."""
-    failed = pair_failed | _failed_tiers(_order_checks(raw, record))
+    _order_record(raw.leq)``: only the checks that read the model as well as
+    the order run here, each up to its first violation, and no violation is
+    kept."""
+    failed = pair_failed | record.failed | _failed_tiers(_model_checks(raw, record))
     return _algebra(raw, _accept(failed)[0], record)
 
 

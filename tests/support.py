@@ -286,6 +286,15 @@ def oracle_filter_saturation(S, x):
         members = new
 
 
+def oracle_thm26_set(S, x):
+    """{y | x <= e y* e} from the raw tables, with e found by scanning for
+    the element above every element."""
+    raw = S.raw
+    n, mult, leq, star = raw.n, raw.mult, raw.leq, raw.star
+    e = next(t for t in range(n) if all(leq[a][t] for a in range(n)))
+    return frozenset(y for y in range(n) if leq[x][mult[mult[e][star[y]]][e]])
+
+
 def oracle_classify(S):
     """Per element, a dict of the element-level flags decided from the raw
     tables and definition-level meet scans: the ideal inequalities against

@@ -5,6 +5,8 @@ Each test records a one-line PASS/FAIL verdict that pytest prints in the
 """
 
 import hashlib
+import io
+import json
 import os
 import time
 from contextlib import contextmanager
@@ -13,7 +15,7 @@ import pytest
 
 from starsemi import (
     INVOLUTION, PO_SEMIGROUP, POE,
-    ModelSpec, StructureAnalysis, canonical_form, check_claim, enumerate_models,
+    ModelSpec, StructureAnalysis, canonical_form, check_claim, enumerate_models, enumeration,
     filter_generated, filter_oracle, list_claims, list_mutants, n_class_partition,
     regularity_profile, search_counterexample, thm26_set, validate_structure,
 )
@@ -59,6 +61,8 @@ MUTANTS_5_FINGERPRINT = "v2-d7c2ad9222b2fe88e0132237e60ea0052e143378cd327de4ab32
 # per-claim lines "id status instances vacuous", in registry order
 CATALOG_6_FINGERPRINT = "v2-fa465434094981fd7338c4f2aaff5b52a37073f8e21807e042f9f7a221a9a55f"
 VERDICTS_6_FINGERPRINT = "v2-4e49a2292445c1c3fa4a251950d4b32a40a80848aae3439f11e4a0da4e578721"
+# sha256 of the output of `search --order 6 --tiers involution,poe --claims all --json`
+ORDER6_SWEEP_SHA256 = "a3ff650cb14685f2bddef47446f5f232b56c577f76024889dadd170173c6dc26"
 
 
 @contextmanager
@@ -141,21 +145,34 @@ def test_criterion_2_exhaustive_claim_sweep(catalog_5):
 
 
 @pytest.mark.skipif(os.environ.get("STARSEMI_SLOW") != "1",
-                    reason="set STARSEMI_SLOW=1 to fingerprint the order-6 catalog")
-def test_slow_order6_catalog_and_verdict_fingerprints():
-    # about two and a half minutes: the stream, the claims and the canonical forms
+                    reason="set STARSEMI_SLOW=1 to sweep and fingerprint the order-6 catalog")
+def test_slow_order6_sweep_and_fingerprints(monkeypatch):
+    # one walk of the order-6 stream and one pass of the claims: the CLI
+    # sweep, whose claim checks are recorded per model as it makes them
     ids = [c.id for c in list_claims()]
-    digests, verdicts = [], []
-    for S in enumerate_models(ModelSpec(order=6, required_tiers=INV_POE)):
-        digest = canonical_form(S).digest
-        digests.append(digest)
-        ctx = StructureAnalysis(S)
-        lines = []
-        for cid in ids:
-            rep = check_claim(S, cid, ctx)
-            lines.append(f"{cid} {rep.status} {rep.instances_checked} {rep.vacuous}")
-        verdicts.append(f"{digest} {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
-    assert len(digests) == 319587
+    digests, verdicts, lines = [], [], []
+
+    def recorded(S, cid, ctx):
+        rep = check_claim(S, cid, ctx)
+        lines.append(f"{cid} {rep.status} {rep.instances_checked} {rep.vacuous}")
+        if len(lines) == len(ids):
+            assert [line.split(" ", 1)[0] for line in lines] == ids
+            digest = canonical_form(S).digest
+            digests.append(digest)
+            verdicts.append(f"{digest} {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
+            lines.clear()
+        return rep
+
+    monkeypatch.setattr(enumeration, "check_claim", recorded)
+    buf = io.StringIO()
+    code = cli_run(["search", "--order", "6", "--tiers", "involution,poe", "--claims", "all",
+                    "--json"], stdout=buf)
+    out = buf.getvalue()
+    doc = json.loads(out)
+    assert code == 0 and doc["complete"] and "counterexample" not in doc
+    assert doc["models_checked"] == len(digests) == 319587 and not lines
+    assert all(st["failures"] == 0 for st in doc["stats"])
+    assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_SWEEP_SHA256
     assert fingerprint(digests) == CATALOG_6_FINGERPRINT
     assert fingerprint(verdicts) == VERDICTS_6_FINGERPRINT
 

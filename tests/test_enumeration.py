@@ -278,21 +278,29 @@ def _counted(calls, f):
 
 def test_recheck_runs_each_check_once_per_object_it_reads(monkeypatch):
     # associativity reads only the table: it runs once per (table, star)
-    # pair, as the star laws do; the record of an order, with its bounds
-    # tables, is built once per order
-    pairs, assoc, records, bounds = [], [], [], []
+    # pair, as the star laws and the range checks of the table and the star
+    # do; the record of an order, with its bounds tables and the checks that
+    # read only the order, is built once per order
+    pairs, tables, assoc, records, bounds, order_checks = [], [], [], [], [], []
     monkeypatch.setattr(enumeration, "_filtered_orders",
                         _counted(pairs, enumeration._filtered_orders))
+    monkeypatch.setattr(RawStructure, "__post_init__",
+                        _counted(tables, RawStructure.__post_init__))
     monkeypatch.setattr(structure, "_check_associativity",
                         _counted(assoc, structure._check_associativity))
     monkeypatch.setattr(enumeration, "_order_record",
                         _counted(records, structure._order_record))
     monkeypatch.setattr(structure, "bounds_tables", _counted(bounds, structure.bounds_tables))
+    monkeypatch.setattr(structure, "_check_order_axioms",
+                        _counted(order_checks, structure._check_order_axioms))
     enumeration._record.cache_clear()
     models = list(enumerate_models(ModelSpec(order=4, required_tiers=frozenset({INVOLUTION, POE}))))
     assert len(models) == INVOLUTION_POE_MODELS[4]
-    assert len(assoc) == len(pairs) == len({args[:2] for args in pairs}) == 83
-    assert len(records) == len(bounds) == len({S.leq for S in models}) == 64
+    assert len(assoc) == len(tables) == len(pairs) == len({args[:2] for args in pairs}) == 83
+    assert len(records) == len(bounds) == len(order_checks) == len({S.leq for S in models}) == 64
+    # each model shares the checked table and star of its pair
+    checked = {(id(raw.mult), id(raw.star)) for raw, in tables}
+    assert all((id(S.mult), id(S.star)) in checked for S in models)
 
 
 def test_a_model_missing_a_required_tier_is_an_error(monkeypatch):
@@ -478,20 +486,6 @@ def test_compatible_orders_requirements_filter_the_unconstrained_stream():
                 got = list(compatible_orders(EXAMPLE2_MULT, star, dedupe=dedupe, **{flag: True}))
                 assert got == [leq for leq in everything if holds(EXAMPLE2_MULT, leq)]
                 assert len(got) == (with_star if star is not None else without_star)
-
-
-def test_limit_and_partial_stream_marker():
-    spec = ModelSpec(order=3, required_tiers=frozenset({INVOLUTION, POE}), limit=5)
-    models, complete = collect_models(spec)
-    assert len(models) == 5 and not complete
-    spec_all = ModelSpec(order=3, required_tiers=frozenset({INVOLUTION, POE}), limit=10 ** 6)
-    models_all, complete_all = collect_models(spec_all)
-    assert complete_all and len(models_all) == INVOLUTION_POE_MODELS[3]
-
-
-def test_limit_zero_emits_nothing():
-    spec = ModelSpec(order=3, required_tiers=frozenset({INVOLUTION, POE}), limit=0)
-    assert list(enumerate_models(spec)) == []
 
 
 def test_negative_limit_is_refused():

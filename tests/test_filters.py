@@ -10,7 +10,7 @@ from starsemi import (
 from starsemi.filters import ORACLE_MAX_ORDER, is_filter
 from starsemi.sampling import random_model
 
-from support import chain2, mk, one_point, oracle_filter_saturation
+from support import chain2, mk, one_point, oracle_filter_saturation, oracle_thm26_set
 
 
 def test_chain2_filters():
@@ -55,6 +55,12 @@ def test_thm26_sets_on_chain2():
     S, _ = chain2()
     assert thm26_set(S, 1) == {1}   # e*0*e = 0 stays below e
     assert thm26_set(S, 0) == {0, 1}
+
+
+def test_thm26_set_matches_its_definition(catalog_upto_4):
+    for S in catalog_upto_4:
+        for x in S.elements():
+            assert thm26_set(S, x) == oracle_thm26_set(S, x)
 
 
 def test_thm26_set_requires_involution_and_top():

@@ -24,6 +24,7 @@ from starsemi.structure import (
     reflexive_transitive_closure,
 )
 import random
+from itertools import islice
 
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, chain2, diamond_constant, example2, mk, one_point,
@@ -198,8 +199,8 @@ def test_structural_errors(bad):
 def raw_structures(draw):
     """Tables and relations of order 1-6: random ones (mostly neither
     associative nor ordered) mixed with constant, left-zero and chain-min
-    tables and with equality, chain and closed-up relations, so that every
-    tier is met both accepted and refused."""
+    tables and with equality, chain, closed-up and table-compatible
+    relations, so that every tier is met both accepted and refused."""
     n = draw(st.integers(1, 6))
     cells = st.integers(0, n - 1)
     z = draw(cells)
@@ -211,8 +212,16 @@ def raw_structures(draw):
     )))
     if mult is None:
         mult = tuple(tuple(draw(cells) for _ in range(n)) for _ in range(n))
-    kind = draw(st.sampled_from(("random", "equality", "chain", "closure")))
-    if kind == "random":
+    kind = draw(st.sampled_from(("random", "equality", "chain", "closure", "compatible")))
+    if kind == "compatible":
+        # a partial order the table is monotone on, often a lattice, where
+        # the re-check's gate holds
+        top = draw(st.booleans())
+        orders = list(islice(compatible_orders(mult, require_greatest=top,
+                                               require_joins=top and draw(st.booleans()),
+                                               dedupe=False), 40))
+        leq = draw(st.sampled_from(orders)) if orders else equality_leq(n)
+    elif kind == "random":
         leq = tuple(tuple(draw(st.booleans()) for _ in range(n)) for _ in range(n))
     elif kind == "equality":
         leq = equality_leq(n)
@@ -266,3 +275,42 @@ def test_full_validation_lists_every_instance_in_order():
         + [(LE, "prerequisite", ())])
     assert report.accepted == {PO_GROUPOID, PO_SEMIGROUP}
     assert len(report.violations_for(VEE)) == 12
+
+
+def _gated_fixture_agrees(raw):
+    # the full list against the oracle, the re-check against the full list
+    S, report = validate_structure(raw)
+    assert [(v.tier, v.axiom, v.witness) for v in report.violations] == oracle_violations(raw)
+    record = _order_record(raw.leq)
+    assert _accepted_structure(raw, _pair_failures(raw.mult, raw.star), record) == S
+    return report, record
+
+
+def test_gate_holds_and_distributivity_fails_only_at_an_incomparable_pair():
+    # the diamond 3 < 1, 2 < 0 with a monotone table: the gate holds, so
+    # only the incomparable pair {1, 2} is scanned, and there (1 v 2)1 = 01
+    # = 0 but 11 v 21 = 1 v 3 = 1
+    raw = RawStructure(n=4, mult=((0, 0, 0, 0), (0, 1, 1, 1), (0, 3, 3, 3), (0, 3, 3, 3)),
+                       leq=reflexive_transitive_closure(4, ((3, 1), (3, 2), (1, 0), (2, 0))))
+    report, record = _gated_fixture_agrees(raw)
+    assert record.covers == (0, 0b1, 0b1, 0b110) and record.apart == (0, 0b100, 0, 0)
+    assert {v.witness[:2] for v in report.violations_for(VEE)} == {(1, 2), (2, 1)}
+    assert ("join-distributive-right", (1, 2, 1)) in [
+        (v.axiom, v.witness) for v in report.violations_for(VEE)]
+    assert report.accepted == {PO_GROUPOID, PO_SEMIGROUP, POE, WEDGE}
+
+
+def test_gate_fails_and_every_comparable_pair_is_scanned():
+    # the chain 0 < 1 < 2 has no incomparable pair; the table ab = 2 - a is
+    # not monotone, so the gate fails and the full loops find the vee
+    # violations at comparable pairs, and the reversing star fails order
+    # preservation at the pair (0, 2) as well as at the covering pairs
+    raw = RawStructure(n=3, mult=tuple((2 - a,) * 3 for a in range(3)), leq=chain_leq(3),
+                       star=(2, 1, 0))
+    report, record = _gated_fixture_agrees(raw)
+    assert record.covers == (0b10, 0b100, 0) and record.apart == (0, 0, 0)
+    assert {v.witness[:2] for v in report.violations_for(VEE)} == {
+        (a, b) for a in range(3) for b in range(3) if a != b}
+    assert [v.witness for v in report.violations_for(INVOLUTION)
+            if v.axiom == "order-preserving"] == [(0, 1), (0, 2), (1, 2)]
+    assert report.accepted == frozenset()
