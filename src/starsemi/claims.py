@@ -13,7 +13,10 @@ claim (or two claim ids sharing one body) costs one evaluation. A claim
 never re-uses the characterization it asserts: bodies go through the
 definitional operations of the ideals/regularity/filters modules, shared per
 structure by ``StructureAnalysis``, and evaluate products, stars, bounds and
-the order by reading the structure's tables directly.
+the order by reading the structure's tables directly, or the facts of its
+table, star and top, which the structures with the same three share. What a
+check does besides running bodies (the tier test, the hypothesis and the
+not-applicable reports) is settled once per tier set, in ``_plan``.
 
 Claim ids are stable. Theorems stated as equivalences are split into -fwd
 and -conv entries because the two directions carry different hypotheses;
@@ -24,15 +27,16 @@ the same way (e.g. prop07 / prop07-bi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .filters import _filter_classes, _filter_masks, _partition, _window_masks
-from .ideals import classify_all, generated_left, generated_right, in_ideal_generated
+from .ideals import classify_all, generated_left, generated_right
 from .regularity import _failure_masks
 from .structure import (
     ALL_TIERS, BITS, INVOLUTION, LE, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, VEE, WEDGE,
+    _Memo,
 )
 
 STATEMENT = "statement"
@@ -142,12 +146,11 @@ def _star_image(S, mask: int) -> int:
     return out
 
 
-def _pairs_into(table, mask: int) -> int:
-    """The pairs (a, b) with table[a][b] in ``mask``."""
-    out = 0
-    for i, v in enumerate(chain.from_iterable(table)):
-        if mask >> v & 1:
-            out |= 1 << i
+def _pairs_into(S, mask: int) -> int:
+    """The pairs (a, b) with ab in ``mask``."""
+    pairs, out = S._facts.value_pairs, 0
+    for v in BITS[mask]:
+        out |= pairs[v]
     return out
 
 
@@ -255,7 +258,7 @@ def _body_prop09(ctx):
     guard = 0
     for a in S.elements():
         guard |= (full if right >> a & 1 else right) << a * n
-    return 2, guard, _pairs_into(S.mult, _star_image(S, ctx.flag_masks.bi_ideal))
+    return 2, guard, _pairs_into(S, _star_image(S, ctx.flag_masks.bi_ideal))
 
 
 _body_ideals_star_semiprime = _flag_body(("two_sided_ideal",), "star_semiprime")
@@ -279,12 +282,13 @@ _body_star_intra_regular = _regularity_body("star_intra_regular")
 
 def _squares_generate_body(starred: bool) -> Body:
     """Body asserting that every x lies in the ideal generated by x x
-    (by x*x* when ``starred``)."""
+    (by x*x* when ``starred``): the up-set of x meets the mask of
+    {a, ea, ae, eae} for a = x x."""
     def body(ctx):
         S = ctx.S
-        mult, ok = S.mult, 0
+        mult, up, generated, ok = S.mult, S.up_masks, S._facts.ideal_generated, 0
         for x, y in enumerate(S.star if starred else S.elements()):
-            if in_ideal_generated(S, x, mult[y][y]):
+            if up[x] & generated[mult[y][y]]:
                 ok |= 1 << x
         return 1, _full(S), ok
     return body
@@ -326,7 +330,7 @@ def _right_left_pairs(S, flags) -> int:
 
 def _body_prop16(ctx):
     S, flags = ctx.S, ctx.flag_masks
-    return 2, _right_left_pairs(S, flags), _pairs_into(S.mult, flags.quasi_ideal)
+    return 2, _right_left_pairs(S, flags), _pairs_into(S, flags.quasi_ideal)
 
 
 def _body_prop16_eq(ctx):
@@ -358,9 +362,9 @@ def _body_thm20(ctx):
 
 def _body_thm20_eq(ctx):
     S, star_bi = ctx.S, ctx.flag_masks.star_bi
-    e, mult, star, ok = S.e, S.mult, S.star, 0
+    aea, star, ok = S._facts.aea, S.star, 0
     for b in BITS[star_bi]:
-        if mult[mult[star[b]][e]][star[b]] == b:
+        if aea[star[b]] == b:  # b* e b*
             ok |= 1 << b
     return 1, star_bi, ok
 
@@ -369,19 +373,12 @@ _body_thm22_fwd = _star_product_bound(both=True, reverse=True)
 
 
 def _prop23_body(starred: bool) -> Body:
-    """Body asserting e a b e = e b* a* e (e b a e unless ``starred``)."""
+    """Body asserting e a b e = e b* a* e (e b a e unless ``starred``), read
+    from the table facts."""
     def body(ctx):
         S = ctx.S
-        n, e, mult = S.n, S.e, S.mult
-        eabe = [mult[p][e] for ea in mult[e] for p in mult[ea]]  # e a b e at a*n + b
-        order = S.star if starred else S.elements()
-        ok = i = 0
-        for x in order:
-            for y in order:
-                if eabe[i] == eabe[y * n + x]:  # e b* a* e (e b a e)
-                    ok |= 1 << i
-                i += 1
-        return 2, (1 << n * n) - 1, ok
+        facts = S._facts
+        return 2, (1 << S.n * S.n) - 1, facts.star_reversal if starred else facts.reversal
     return body
 
 
@@ -398,10 +395,10 @@ def _body_thm26_fwd(ctx):
 
 def _body_prop27(ctx):
     S, block = ctx.S, ctx.filter_classes
-    e, mult, down = S.e, S.mult, S.down_masks
+    eae, down = S._facts.eae, S.down_masks
     ok = 0
     for x, c in enumerate(S.star):
-        t = mult[mult[e][c]][e]
+        t = eae[c]
         if block[c] >> t & 1 and not block[x] & ~down[t]:
             ok |= 1 << x
     return 1, _full(S), ok
@@ -666,38 +663,70 @@ def expand_claim_ids(tokens) -> tuple[str, ...]:
     return tuple(x for x in out if not (x in seen or seen.add(x)))
 
 
+class _Step(NamedTuple):
+    """What ``check_claim`` does for one id on one tier set: return
+    ``missing`` when the claim needs a tier that the set lacks; otherwise
+    return ``unmet`` when a body of ``conditions`` fails, and else the
+    outcome of ``body``, a pass report from ``passes`` (keyed by the
+    instance count) where nothing fails. Reports are immutable, so equal
+    outcomes share one object rather than building one per check."""
+
+    claim: Claim
+    missing: Optional[ClaimReport]
+    conditions: tuple[Body, ...]
+    unmet: Optional[ClaimReport]
+    body: Body
+    passes: _Memo
+
+
+@lru_cache(maxsize=128)  # one entry per tier set, of which there are 2**7
+def _plan(tiers: frozenset[str]) -> dict[str, _Step]:
+    """The step of every claim and mutant id on structures with ``tiers``."""
+    plan = {}
+    for d in chain(_DEFS, _MUTANT_DEFS):
+        claim = d.claim
+        not_applicable = partial(ClaimReport, claim.id, NOT_APPLICABLE, variables=claim.variables)
+        missing = unmet = None
+        if not claim.requires_tiers <= tiers:
+            names = [t for t in ALL_TIERS if t in claim.requires_tiers and t not in tiers]
+            missing = not_applicable("missing tier(s): " + ", ".join(names))
+        conditions = ()
+        if claim.condition is not None:
+            conditions = CONDITIONS[claim.condition]
+            unmet = not_applicable(f"hypothesis not met: {claim.condition}")
+        passes = _Memo(partial(_pass_report, claim))
+        plan[claim.id] = _Step(claim, missing, conditions, unmet, d.body, passes)
+    return plan
+
+
+def _pass_report(claim: Claim, instances: int) -> ClaimReport:
+    return ClaimReport(claim_id=claim.id, status=PASS, variables=claim.variables,
+                       instances_checked=instances, vacuous=instances == 0)
+
+
 def check_claim(S: OrderedAlgebra, claim_id: str,
                 analysis: Optional[StructureAnalysis] = None) -> ClaimReport:
     """Evaluate one claim: hypothesis first (tiers, then each body of the
     structure-level condition), then the body quantifiers, exhaustively. An
     ``analysis`` must have been built for S itself."""
-    d = _lookup(claim_id)
-    claim = d.claim
+    step = _plan(S.tiers).get(claim_id)
+    if step is None:
+        raise ValueError(f"unknown claim id: {claim_id!r}")
     ctx = analysis if analysis is not None else StructureAnalysis(S)
     if ctx.S is not S:
         raise ValueError("the analysis was built for a different structure")
-    if not claim.requires_tiers <= S.tiers:
-        missing = [t for t in ALL_TIERS if t in claim.requires_tiers and t not in S.tiers]
-        return _settled(claim_id, NOT_APPLICABLE, "missing tier(s): " + ", ".join(missing), 0)
-    if claim.condition is not None:
-        for body in CONDITIONS[claim.condition]:
-            if ctx.outcome(body)[1] is not None:
-                return _settled(claim_id, NOT_APPLICABLE,
-                                f"hypothesis not met: {claim.condition}", 0)
-    instances, witness = ctx.outcome(d.body)
+    if step.missing is not None:
+        return step.missing
+    # a kept outcome is read here; ``outcome`` runs the body the first time
+    kept = ctx._outcomes
+    for body in step.conditions:
+        if (kept.get(body) or ctx.outcome(body))[1] is not None:
+            return step.unmet
+    instances, witness = kept.get(step.body) or ctx.outcome(step.body)
     if witness is None:
-        return _settled(claim_id, PASS, "", instances)
-    return ClaimReport(claim_id=claim.id, status=FAIL, counterexample=witness,
-                       variables=claim.variables, instances_checked=instances)
-
-
-@lru_cache(maxsize=4096)
-def _settled(claim_id: str, status: str, reason: str, instances: int) -> ClaimReport:
-    """A report without a counterexample. Reports are immutable, so equal
-    outcomes share one object rather than building one per check."""
-    return ClaimReport(claim_id=claim_id, status=status, reason=reason,
-                       variables=_lookup(claim_id).claim.variables,
-                       instances_checked=instances, vacuous=status == PASS and instances == 0)
+        return step.passes[instances]
+    return ClaimReport(claim_id=claim_id, status=FAIL, counterexample=witness,
+                       variables=step.claim.variables, instances_checked=instances)
 
 
 def check_all(S: OrderedAlgebra,

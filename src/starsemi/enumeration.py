@@ -70,6 +70,7 @@ import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice, permutations
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from .claims import (
@@ -700,10 +701,13 @@ def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_j
                      require_meets, require_join_distributivity):
     """The compatible order stream, minus orders that are not the least in
     their orbit under ``nontrivial_auts`` and orders failing a requirement."""
+    # row x of the order relabeled by p is row p[x] read at p; an
+    # automorphism is not the identity, so n >= 2 and each getter returns a tuple
+    relabelings = [(p, itemgetter(*p)) for p in nontrivial_auts]
     # a finite order in which every pair has a meet has a least element, the
     # meet of all elements, so the meet tiers search from a bottom
     for leq in _compatible_order_stream(mult, star, require_greatest, require_meets):
-        if nontrivial_auts and any(_apply_perm_leq(leq, p) < leq for p in nontrivial_auts):
+        if relabelings and any(_relabeled_first(leq, p, get) for p, get in relabelings):
             continue
         if require_joins or require_meets or require_join_distributivity:
             record = _record(leq)
@@ -717,6 +721,16 @@ def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_j
                     mult, record.join_table, record.apart), None) is not None:
                 continue
         yield leq
+
+
+def _relabeled_first(leq, p, get) -> bool:
+    """``_apply_perm_leq(leq, p) < leq``, with ``get = itemgetter(*p)``,
+    compared row by row up to the first row that differs."""
+    for x, row in enumerate(leq):
+        image = get(leq[p[x]])
+        if image != row:
+            return image < row
+    return False
 
 
 def compatible_orders(mult, star=None, *, require_greatest=False, require_joins=False,

@@ -1,13 +1,14 @@
 """Principal filters, their class partition, and the star-window set.
 
 The filter generated by x is computed by saturation under the three filter
-closure rules (products, upward closure, divisor extraction) on the up-set and
-divisor bitmasks that the structure caches; the exponential subset-intersection
-oracle exists solely to certify the saturation. Each fact is computed as
-bitmasks, the filter and the window of every element and the filter class of
-every element, and the public functions return those masks as sets; the
-claim checks (``claims.StructureAnalysis``) and the ``filters`` command read
-the masks directly, so the partition costs no second saturation.
+closure rules (products, upward closure, divisor extraction) on the up-set
+bitmasks of the structure and the divisor bitmasks of its table facts; the
+exponential subset-intersection oracle exists solely to certify the
+saturation. Each fact is computed as bitmasks, the filter and the window of
+every element and the filter class of every element, and the public
+functions return those masks as sets; the claim checks
+(``claims.StructureAnalysis``) and the ``filters`` command read the masks
+directly, so the partition costs no second saturation.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _saturate(S: OrderedAlgebra, x: int) -> int:
     Each pass adds the products of the members, then the up-set and the
     divisors of each element of the result, on the bitmasks of ``S``, until
     a pass adds nothing or every element is a member."""
-    mult, up, div = S.mult, S.up_masks, S.divisor_masks
+    mult, up, div = S.mult, S.up_masks, S._facts.divisors
     full = (1 << S.n) - 1
     members = 1 << x
     while members != full:
@@ -138,9 +139,8 @@ def _sandwiches(S: OrderedAlgebra) -> tuple[int, ...]:
         raise ValueError("thm26_set needs a structure with a greatest element")
     if not S.has(INVOLUTION):
         raise ValueError("thm26_set needs an involution")
-    e, mult = S.e, S.mult
-    row_e = mult[e]
-    return tuple(mult[row_e[c]][e] for c in S.star)
+    eae = S._facts.eae
+    return tuple(eae[c] for c in S.star)
 
 
 def n_class_partition(S: OrderedAlgebra) -> NClassPartition:

@@ -94,30 +94,31 @@ class _FlagMasks(NamedTuple):
 def _flag_masks(S: OrderedAlgebra) -> _FlagMasks:
     """Every flag of every element: the plain flags test a through a itself,
     the starred ones through a*."""
-    e = _require_top(S)
+    _require_top(S)
     idem = sum(1 << a for a, row in enumerate(S.mult) if row[a] == a)
-    left, right, quasi_meet, quasi, bi, semiprime = _sided_masks(S, e, S.elements())
+    left, right, quasi_meet, quasi, bi, semiprime = _sided_masks(S, S.elements())
     flags = _FlagMasks(idem, left, right, left & right, quasi_meet, quasi, bi, semiprime,
                        None, None, None, None, None, None)
     if not S.has(INVOLUTION):
         return flags
-    sl, sr, sq_meet, sq, sbi, ssp = _sided_masks(S, e, S.star)
+    sl, sr, sq_meet, sq, sbi, ssp = _sided_masks(S, S.star)
     return flags._replace(star_left=sl, star_right=sr, star_quasi_meet=sq_meet,
                           star_quasi=sq, star_bi=sbi, star_semiprime=ssp)
 
 
-def _sided_masks(S: OrderedAlgebra, e: int, through) -> tuple[int, ...]:
+def _sided_masks(S: OrderedAlgebra, through) -> tuple[int, ...]:
     """With c = through[a]: the masks of e c <= a, c e <= a, the meet of c e
     and e c existing, that meet <= a, (c e) c <= a, and semiprimality of a
-    (t t <= a implies t <= a, with c c for t t). Bit x of ``down_masks[a]``
-    is x <= a; semiprimality fails for a exactly when some t has a in the
-    up-set of t t and not in the up-set of t."""
-    mult, meet, up, down = S.mult, S.meet_table, S.up_masks, S.down_masks
-    row_e = mult[e]
+    (t t <= a implies t <= a, with c c for t t), the products read from the
+    table facts of S. Bit x of ``down_masks[a]`` is x <= a; semiprimality
+    fails for a exactly when some t has a in the up-set of t t and not in
+    the up-set of t."""
+    meet, up, down, facts = S.meet_table, S.up_masks, S.down_masks, S._facts
+    ea, ae, aea, aa = facts.ea, facts.ae, facts.aea, facts.aa
     left = right = quasi_meet = quasi = bi = not_semiprime = 0
     for a, c in enumerate(through):
-        bit, below, row_c = 1 << a, down[a], mult[c]
-        ce, ec = row_c[e], row_e[c]
+        bit, below = 1 << a, down[a]
+        ce, ec = ae[c], ea[c]
         if below >> ec & 1:
             left |= bit
         if below >> ce & 1:
@@ -127,9 +128,9 @@ def _sided_masks(S: OrderedAlgebra, e: int, through) -> tuple[int, ...]:
             quasi_meet |= bit
             if below >> m & 1:
                 quasi |= bit
-        if below >> mult[ce][c] & 1:
+        if below >> aea[c] & 1:
             bi |= bit
-        not_semiprime |= up[row_c[c]] & ~up[a]
+        not_semiprime |= up[aa[c]] & ~up[a]
     return left, right, quasi_meet, quasi, bi, (1 << S.n) - 1 & ~not_semiprime
 
 

@@ -41,27 +41,25 @@ class _Failures(NamedTuple):
 def _failure_masks(S: OrderedAlgebra) -> _Failures:
     """Each property is a <= f(a) for every a; its failures are the a whose
     up-set misses f(a): a e a, e a a e, a* e a* and e a* a* e, read from the
-    table."""
+    table facts."""
     if S.e is None:
         raise ValueError("regularity needs a structure with a greatest element")
-    e, mult, up = S.e, S.mult, S.up_masks
-    row_e = mult[e]
+    up, facts = S.up_masks, S._facts
+    aea, eaae = facts.aea, facts.eaae
     reg = intra = 0
-    for a, row_a in enumerate(mult):
-        ua = up[a]
-        if not ua >> mult[row_a[e]][a] & 1:
+    for a, ua in enumerate(up):
+        if not ua >> aea[a] & 1:
             reg |= 1 << a
-        if not ua >> mult[mult[row_e[a]][a]][e] & 1:
+        if not ua >> eaae[a] & 1:
             intra |= 1 << a
     if not S.has(INVOLUTION):
         return _Failures(reg, intra, None, None)
-    star = S.star
     sreg = sintra = 0
-    for a, c in enumerate(star):
+    for a, c in enumerate(S.star):
         ua = up[a]
-        if not ua >> mult[mult[c][e]][c] & 1:
+        if not ua >> aea[c] & 1:
             sreg |= 1 << a
-        if not ua >> mult[mult[row_e[c]][c]][e] & 1:
+        if not ua >> eaae[c] & 1:
             sintra |= 1 << a
     return _Failures(reg, intra, sreg, sintra)
 

@@ -8,7 +8,9 @@ the order that the validation and the analysis modules read (the up-set and
 down-set bitmasks, the greatest element and the partial join/meet tables) are
 built once, as one record per order, with the verdicts of the checks that read
 only the order and the order's covering and incomparable pairs; the validated
-structure carries the record, and the divisor bitmasks are built on first use.
+structure carries the record. What the filters and the claims read of the
+table, the star and the top alone is a second record, built once per such
+triple while it stays in a small cache.
 """
 
 from __future__ import annotations
@@ -200,8 +202,9 @@ class OrderedAlgebra:
     the up-set and down-set bitmasks. Entries of the join/meet tables are
     element indices or None where no bound exists. Entry a of ``up_masks``
     (``down_masks``) has bit u set when a <= u (u <= a); the masks come with
-    the record, so they take no part in equality or repr. The divisor
-    bitmasks are derived from the table on first use."""
+    the record, so they take no part in equality or repr. The facts of the
+    table, the star and the top are read on first use from a small cache
+    shared by the structures with the same three."""
 
     raw: RawStructure
     tiers: frozenset[str]
@@ -253,13 +256,79 @@ class OrderedAlgebra:
         return self.meet_table[a][b]
 
     @cached_property
-    def divisor_masks(self) -> tuple[int, ...]:
-        """Entry v has bits a and b set for every product ab = v."""
-        out = [0] * self.raw.n
-        for a, row in enumerate(self.raw.mult):
-            for b, v in enumerate(row):
-                out[v] |= 1 << a | 1 << b
-        return tuple(out)
+    def _facts(self) -> "_TableFacts":
+        """The facts of the table, the star and the top (``_table_facts``)."""
+        return _table_facts(self.raw.mult, self.raw.star, self.e)
+
+
+class _TableFacts(NamedTuple):
+    """What the filters and the claims read of a table, its star and its
+    top e, and nothing else. ``divisors[v]`` has bits a and b set for every
+    product ab = v, and ``value_pairs[v]`` bit a*n + b; ``aa[a]`` is a a.
+    With a top, the products of each a with e are ``ea``, ``ae``, ``eae``,
+    ``aea`` and ``eaae``, each indexed by a; ``ideal_generated[v]`` is the
+    mask of {v, ev, ve, eve}, so x lies in the ideal generated by v when its
+    up-set meets it; ``reversal`` has bit a*n + b set where e a b e = e b a e
+    and, with a star as well, ``star_reversal`` where e a b e = e b* a* e.
+    Without a top (a star) the fields that read it are None."""
+
+    divisors: tuple[int, ...]
+    value_pairs: tuple[int, ...]
+    aa: tuple[int, ...]
+    ea: Optional[tuple[int, ...]]
+    ae: Optional[tuple[int, ...]]
+    eae: Optional[tuple[int, ...]]
+    aea: Optional[tuple[int, ...]]
+    eaae: Optional[tuple[int, ...]]
+    ideal_generated: Optional[tuple[int, ...]]
+    reversal: Optional[int]
+    star_reversal: Optional[int]
+
+
+# The stream emits the models of each (table, star) pair one after another,
+# with a few tops among them, so a small cache serves it; a large one fills
+# with the tables of relabeled copies, which are never read again
+_TABLE_FACTS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_TABLE_FACTS_CACHE_SIZE)
+def _table_facts(mult, star, e) -> _TableFacts:
+    """The facts of a table, its star (or None) and its top (or None)."""
+    n = len(mult)
+    divisors, value_pairs = [0] * n, [0] * n
+    for a, row in enumerate(mult):
+        for b, v in enumerate(row):
+            divisors[v] |= 1 << a | 1 << b
+            value_pairs[v] |= 1 << a * n + b
+    # tuples of list comprehensions, which build faster than generators
+    aa = tuple([row[a] for a, row in enumerate(mult)])
+    ea = ae = eae = aea = eaae = generated = reversal = star_reversal = None
+    if e is not None:
+        ea = mult[e]
+        ae = tuple([row[e] for row in mult])
+        eae = tuple([mult[v][e] for v in ea])
+        aea = tuple([mult[v][a] for a, v in enumerate(ae)])
+        eaae = tuple([mult[mult[v][a]][e] for a, v in enumerate(ea)])
+        generated = tuple([1 << v | 1 << ea[v] | 1 << ae[v] | 1 << eae[v] for v in range(n)])
+        eabe = [mult[p][e] for v in ea for p in mult[v]]  # e a b e at a*n + b
+        reversal = _swapped_equal(eabe, range(n))
+        if star is not None:
+            star_reversal = _swapped_equal(eabe, star)
+    return _TableFacts(tuple(divisors), tuple(value_pairs), aa, ea, ae, eae, aea, eaae,
+                       generated, reversal, star_reversal)
+
+
+def _swapped_equal(eabe, order) -> int:
+    """The pairs (a, b) where entry a*n + b of ``eabe`` equals entry y*n + x,
+    with x = order[a] and y = order[b]."""
+    n = len(order)
+    out = i = 0
+    for x in order:
+        for y in order:
+            if eabe[i] == eabe[y * n + x]:
+                out |= 1 << i
+            i += 1
+    return out
 
 
 def bounds_tables(leq):

@@ -5,9 +5,11 @@ scans, full generate-filter-dedupe enumeration) so the library's faster paths
 are checked against something they do not share code with.
 """
 
+import random
 from itertools import permutations, product
 
-from starsemi import PO_GROUPOID, RawStructure, validate_structure
+from starsemi import ALL_TIERS, PO_GROUPOID, RawStructure, get_claim, validate_structure
+from starsemi.claims import CONDITIONS, _lookup
 from starsemi.structure import equality_leq, reflexive_transitive_closure
 
 EXAMPLE2_MULT = (
@@ -48,6 +50,31 @@ def diamond_constant():
     """Diamond order (0 < 1, 2 < 3, 1 and 2 incomparable) with constant
     multiplication, which is compatible with any order."""
     return mk(((0,) * 4,) * 4, pairs=((0, 1), (0, 2), (1, 3), (2, 3)))
+
+
+def relabel(raw, p):
+    """``raw`` with new label i for old element p[i]."""
+    n = raw.n
+    pinv = [0] * n
+    for i, x in enumerate(p):
+        pinv[x] = i
+    rng = range(n)
+    return RawStructure(
+        n=n, mult=tuple(tuple(pinv[raw.mult[p[x]][p[y]]] for y in rng) for x in rng),
+        leq=tuple(tuple(raw.leq[p[x]][p[y]] for y in rng) for x in rng),
+        star=None if raw.star is None else tuple(pinv[raw.star[p[x]]] for x in rng))
+
+
+def with_relabelings(raws, seed, copies=2):
+    rng = random.Random(seed)
+    out = []
+    for raw in raws:
+        out.append(raw)
+        for _ in range(copies):
+            p = list(range(raw.n))
+            rng.shuffle(p)
+            out.append(relabel(raw, p))
+    return out
 
 
 def scan_join(S, a, b):
@@ -401,3 +428,69 @@ def oracle_violations(raw):
         else:
             out.append((tier, "prerequisite", ()))
     return out
+
+
+def oracle_table_facts(S):
+    """The table facts of S from their definitions, from the raw tables:
+    the divisors {a, b} and the binding a*n + b of each product value ab,
+    each square a a, and, with a top e, the products of each a with e and
+    the pairs where e a b e equals e b a e and where it equals e b* a* e.
+    The top is found by scanning for the element above every element; None
+    fields as in ``_TableFacts``."""
+    raw = S.raw
+    n, mult, leq, star = raw.n, raw.mult, raw.leq, raw.star
+    rng = range(n)
+    facts = {
+        "divisors": tuple(sum(1 << d for d in rng
+                              if any(mult[d][b] == v or mult[b][d] == v for b in rng))
+                          for v in rng),
+        "value_pairs": tuple(sum(1 << a * n + b for a in rng for b in rng if mult[a][b] == v)
+                             for v in rng),
+        "aa": tuple(mult[a][a] for a in rng),
+    }
+    names = ("ea", "ae", "eae", "aea", "eaae", "reversal", "star_reversal")
+    facts.update(dict.fromkeys(names))
+    if S.e is None:
+        return facts
+    e = next(t for t in rng if all(leq[a][t] for a in rng))
+
+    def prod(*xs):
+        out = xs[0]
+        for x in xs[1:]:
+            out = mult[out][x]
+        return out
+
+    facts.update(
+        ea=tuple(prod(e, a) for a in rng), ae=tuple(prod(a, e) for a in rng),
+        eae=tuple(prod(e, a, e) for a in rng), aea=tuple(prod(a, e, a) for a in rng),
+        eaae=tuple(prod(e, a, a, e) for a in rng),
+        reversal=sum(1 << a * n + b for a in rng for b in rng
+                     if prod(e, a, b, e) == prod(e, b, a, e)))
+    if star is not None:
+        facts["star_reversal"] = sum(1 << a * n + b for a in rng for b in rng
+                                     if prod(e, a, b, e) == prod(e, star[b], star[a], e))
+    return facts
+
+
+def reference_check(S, claim_id, ctx):
+    """(status, reason, instances, witness, vacuous) of one claim or mutant
+    by the dispatch the registry describes, each step written out: the tier
+    subset test, then every body of the claim's condition, then its body.
+    Each body is called directly, and the witness is the first binding in
+    lexicographic order that is an instance and fails."""
+    claim = get_claim(claim_id)
+    if not claim.requires_tiers <= S.tiers:
+        missing = [t for t in ALL_TIERS if t in claim.requires_tiers and t not in S.tiers]
+        return "not-applicable", "missing tier(s): " + ", ".join(missing), 0, None, False
+    if claim.condition is not None:
+        for body in CONDITIONS[claim.condition]:
+            _, guard, ok = body(ctx)
+            if guard & ~ok:
+                return "not-applicable", f"hypothesis not met: {claim.condition}", 0, None, False
+    arity, guard, ok = _lookup(claim_id).body(ctx)
+    bindings = list(product(range(S.n), repeat=arity))
+    instances = [i for i in range(len(bindings)) if guard >> i & 1]
+    failing = [i for i in instances if not ok >> i & 1]
+    if failing:
+        return "fail", "", len(instances), bindings[failing[0]], False
+    return "pass", "", len(instances), None, not instances

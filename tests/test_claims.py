@@ -1,22 +1,33 @@
 import dataclasses
+import hashlib
 import itertools
 import json
+import os
 
 import pytest
 
 from starsemi import (
-    ALL_TIERS, INVOLUTION, LE, POE, ModelSpec,
+    ALL_TIERS, INVOLUTION, LE, POE, ModelSpec, RawStructure,
     StructureAnalysis, check_all, check_claim, expand_claim_ids,
     filter_oracle, get_claim, in_ideal_generated, list_claims, list_mutants,
     regularity_profile, replay_counterexample, report_record, search_counterexample,
     thm26_set, validate_structure,
 )
-from starsemi.claims import CONDITIONS, FAIL, ClaimReport, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP
+from starsemi.claims import (
+    CONDITIONS, FAIL, ClaimReport, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP, _plan,
+)
 from starsemi.fileformat import load_structure
 
-from conftest import STRUCTURES
+from conftest import STRUCTURES, catalog
 
-from support import chain2, example2, mk, one_point, oracle_classify, scan_meet
+from support import chain2, example2, mk, one_point, oracle_classify, reference_check, scan_meet
+
+# sha256 of json.dumps(report_record(r, S)) + "\n" over the involution-poe
+# catalog of one order, every claim and then every mutant in registry order
+# on each model, with one fresh analysis per model: the statuses, instance
+# counts, witnesses and reasons of every report
+REPORTS_4_SHA256 = "d38879553c8b88a5e987b839bfbd55eee2120b28449155e694e55d8a920591d8"
+REPORTS_5_SHA256 = "b63c64eaecde619e5b3b31a27833956fda68a7f6219fbc9b3b416b049f87b685"
 
 
 def condition_holds(ctx, name):
@@ -380,3 +391,48 @@ def test_analysis_of_another_structure_is_rejected():
     with pytest.raises(ValueError):
         check_claim(same_tables, "prop05", StructureAnalysis(S))
     assert check_claim(T, "prop05", ctx).status == PASS
+
+
+def _reports_sha256(models):
+    ids = [c.id for c in list_claims() + list_mutants()]
+    digest = hashlib.sha256()
+    for S in models:
+        ctx = StructureAnalysis(S)
+        for cid in ids:
+            digest.update((json.dumps(report_record(check_claim(S, cid, ctx), S)) + "\n").encode())
+    return digest.hexdigest()
+
+
+def test_report_records_of_the_order4_catalog_are_pinned():
+    assert _reports_sha256(catalog(4)) == REPORTS_4_SHA256
+
+
+@pytest.mark.skipif(os.environ.get("STARSEMI_SLOW") != "1",
+                    reason="set STARSEMI_SLOW=1 to pin the reports of the order-5 catalog")
+def test_slow_report_records_of_the_order5_catalog_are_pinned():
+    assert _reports_sha256(catalog(5)) == REPORTS_5_SHA256
+
+
+def test_check_claim_matches_an_independent_dispatch(catalog_upto_4):
+    structures = list(catalog_upto_4)
+    structures += [validate_structure(load_structure(path))[0]
+                   for path in sorted(STRUCTURES.glob("*.txt"))]
+    known = {S.tiers for S in structures}
+    # tier sets that neither the catalog nor the files have: a table that is
+    # not associative, one without a star, a relation that is not an order
+    extra = [mk(((0, 1), (0, 0)), pairs=((0, 1),), star=(0, 1))[0],
+             mk(((0, 0), (0, 0)), pairs=((0, 1),))[0],
+             validate_structure(RawStructure(n=2, mult=((0, 0), (0, 0)),
+                                             leq=((True, True), (True, False))))[0]]
+    assert not known & {S.tiers for S in extra}
+    structures += extra
+    ids = [c.id for c in list_claims() + list_mutants()]
+    _plan.cache_clear()  # every plan below is built in this test, on first use
+    for S in structures:
+        ctx, reference_ctx = StructureAnalysis(S), StructureAnalysis(S)
+        for cid in ids:
+            rep = check_claim(S, cid, ctx)
+            got = (rep.status, rep.reason, rep.instances_checked, rep.counterexample, rep.vacuous)
+            assert got == reference_check(S, cid, reference_ctx), (cid, S.raw)
+            assert rep.variables == get_claim(cid).variables
+    assert _plan.cache_info().currsize == len({S.tiers for S in structures})

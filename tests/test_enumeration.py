@@ -1,6 +1,7 @@
 import inspect
 import os
 import pathlib
+from operator import itemgetter
 
 import pytest
 
@@ -12,7 +13,7 @@ from starsemi import (
 )
 from starsemi import RawStructure, StructureError, enumeration, structure
 from starsemi.enumeration import (
-    _assoc_tables, _centralizer, _compatible_order_stream, _involutions,
+    _assoc_tables, _centralizer, _compatible_order_stream, _involutions, _relabeled_first,
 )
 from starsemi.fileformat import load_structure
 from starsemi.structure import equality_leq
@@ -435,6 +436,18 @@ def test_order_stream_is_the_sorted_list_of_the_oracle_orders():
                         want = [leq for leq in preserved
                                 if (not greatest or top(leq)) and (not least or bottom(leq))]
                         assert list(_compatible_order_stream(mult, star, greatest, least)) == want
+
+
+def test_orbit_test_reads_the_relabeled_order_row_by_row():
+    # against the relabeled matrix built whole, on every poset of 2-4 points
+    # under every permutation but the identity
+    for n in (2, 3, 4):
+        rng = range(n)
+        perms = commuting_perms(n)
+        for leq in all_posets(n):
+            for p in perms:
+                relabeled = tuple(tuple(leq[p[x]][p[y]] for y in rng) for x in rng)
+                assert _relabeled_first(leq, p, itemgetter(*p)) == (relabeled < leq)
 
 
 @pytest.mark.parametrize("mult,star", [

@@ -19,16 +19,18 @@ from starsemi import (
     validate_structure,
 )
 from starsemi.sampling import random_model
+from starsemi.ideals import in_ideal_generated
 from starsemi.structure import (
-    _accepted_structure, _order_record, _pair_failures, bounds_tables, chain_leq,
-    reflexive_transitive_closure,
+    _TABLE_FACTS_CACHE_SIZE, _accepted_structure, _order_record, _pair_failures, _table_facts,
+    bounds_tables, chain_leq, reflexive_transitive_closure,
 )
 import random
 from itertools import islice
 
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, chain2, diamond_constant, example2, mk, one_point,
-    oracle_bounds_tables, oracle_order_views, oracle_violations, scan_join, scan_meet,
+    oracle_bounds_tables, oracle_order_views, oracle_table_facts, oracle_violations, scan_join,
+    scan_meet, with_relabelings,
 )
 
 
@@ -314,3 +316,46 @@ def test_gate_fails_and_every_comparable_pair_is_scanned():
     assert [v.witness for v in report.violations_for(INVOLUTION)
             if v.axiom == "order-preserving"] == [(0, 1), (0, 2), (1, 2)]
     assert report.accepted == frozenset()
+
+
+def test_table_facts_match_a_cold_computation_and_their_definitions(catalog_upto_4):
+    # the catalog in stream order, where the models of a (table, star) pair
+    # follow one another, and two relabeled copies of each model
+    structures = [validate_structure(raw)[0]
+                  for raw in with_relabelings([S.raw for S in catalog_upto_4], seed=25)]
+    assert len({(S.mult, S.star, S.e) for S in structures}) > _TABLE_FACTS_CACHE_SIZE
+    _table_facts.cache_clear()
+    records = [S._facts for S in structures]  # through the cache
+    info = _table_facts.cache_info()
+    assert info.hits and info.currsize == info.maxsize == _TABLE_FACTS_CACHE_SIZE
+    for S, facts in zip(structures, records):
+        _table_facts.cache_clear()
+        assert facts == _table_facts(S.mult, S.star, S.e)
+        oracle = oracle_table_facts(S)
+        assert set(oracle) == set(facts._fields) - {"ideal_generated"}
+        for name, value in oracle.items():
+            assert getattr(facts, name) == value, name
+        for x in S.elements():
+            for v in S.elements():
+                assert bool(S.up_masks[x] & facts.ideal_generated[v]) == \
+                    in_ideal_generated(S, x, v)
+
+
+def test_table_facts_are_kept_per_top(catalog_upto_4):
+    # two models of one (table, star) pair whose tops differ, read one after
+    # the other: a record kept per (table, star) alone would give the second
+    # the facts of the first one's top
+    tops = {}
+    for S in catalog_upto_4:
+        tops.setdefault((S.mult, S.star), {}).setdefault(S.e, S)
+    first, second = next(
+        (a, b) for pair in tops.values() for a in pair.values() for b in pair.values()
+        if _table_facts(a.mult, a.star, a.e) != _table_facts(b.mult, b.star, b.e))
+    first, second = (validate_structure(S.raw)[0] for S in (first, second))
+    assert first.mult is second.mult and first.star is second.star
+    _table_facts.cache_clear()
+    got = first._facts, second._facts
+    for S, facts in zip((first, second), got):
+        _table_facts.cache_clear()
+        assert facts == _table_facts(S.mult, S.star, S.e)
+    assert got[0] != got[1]

@@ -10,20 +10,7 @@ from starsemi.enumeration import semigroup_representatives
 from starsemi.sampling import random_models
 from starsemi.structure import equality_leq
 
-from support import brute_automorphisms, brute_canonical_form
-
-
-def relabel(raw, p):
-    """``raw`` with new label i for old element p[i]."""
-    n = raw.n
-    pinv = [0] * n
-    for i, x in enumerate(p):
-        pinv[x] = i
-    rng = range(n)
-    return RawStructure(
-        n=n, mult=tuple(tuple(pinv[raw.mult[p[x]][p[y]]] for y in rng) for x in rng),
-        leq=tuple(tuple(raw.leq[p[x]][p[y]] for y in rng) for x in rng),
-        star=None if raw.star is None else tuple(pinv[raw.star[p[x]]] for x in rng))
+from support import brute_automorphisms, brute_canonical_form, relabel, with_relabelings
 
 
 def assert_groups_match(raw):
@@ -37,18 +24,6 @@ def assert_same_classes(raws):
     classes, so each is a bijection onto the other's values."""
     pairs = {(canonical_form(raw), brute_canonical_form(raw)) for raw in raws}
     assert len({new for new, _ in pairs}) == len(pairs) == len({old for _, old in pairs})
-
-
-def with_relabelings(raws, seed, copies=2):
-    rng = random.Random(seed)
-    out = []
-    for raw in raws:
-        out.append(raw)
-        for _ in range(copies):
-            p = list(range(raw.n))
-            rng.shuffle(p)
-            out.append(relabel(raw, p))
-    return out
 
 
 def order5_class_tables():
