@@ -2,11 +2,12 @@
 
 The filter generated by x is computed by saturation under the three filter
 closure rules (products, upward closure, divisor extraction) on the up-set
-bitmasks of the structure and the divisor bitmasks of its table facts; the
+bitmasks of the structure and the divisor bitmasks of its table facts. The
 exponential subset-intersection oracle exists solely to certify the
-saturation. Each fact is computed as bitmasks, the filter and the window of
-every element and the filter class of every element, and the public
-functions return those masks as sets; the claim checks
+saturation: it tests every subset once per (table, order), on bitmasks it
+builds from the raw tables alone. Each fact is computed as bitmasks, the
+filter and the window of every element and the filter class of every
+element, and the public functions return those masks as sets; the claim checks
 (``claims.StructureAnalysis``) and the ``filters`` command read the masks
 directly, so the partition costs no second saturation.
 """
@@ -14,6 +15,8 @@ directly, so the partition costs no second saturation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 from typing import Optional
 
 from .structure import BITS, INVOLUTION, OrderedAlgebra
@@ -45,8 +48,14 @@ class NClassPartition:
         raise ValueError(f"element {x} not in partition")
 
 
+def _check_element(S: OrderedAlgebra, x: int) -> None:
+    if x not in S.elements():
+        raise ValueError(f"no element {x} in a structure of order {S.n}")
+
+
 def filter_generated(S: OrderedAlgebra, x: int) -> FilterSet:
     """Saturate {x} under product, upward and divisor-extraction closure."""
+    _check_element(S, x)
     return FilterSet(generator=x, members=frozenset(BITS[_saturate(S, x)]))
 
 
@@ -99,25 +108,56 @@ def is_filter(S: OrderedAlgebra, members: frozenset[int]) -> bool:
 def filter_oracle(S: OrderedAlgebra, x: int) -> frozenset[int]:
     """Intersection of all (nonempty) filters containing x. Exponential in n;
     guarded to small structures."""
-    n = S.n
-    if n > ORACLE_MAX_ORDER:
+    if S.n > ORACLE_MAX_ORDER:
         raise ValueError(f"filter_oracle is limited to order <= {ORACLE_MAX_ORDER}")
-    out: Optional[frozenset[int]] = None
-    for mask in range(1, 1 << n):
-        if not mask >> x & 1:
-            continue
-        members = frozenset(i for i in range(n) if mask >> i & 1)
-        if out is not None and out <= members:
-            continue  # cannot shrink the intersection
-        if is_filter(S, members):
-            out = members if out is None else out & members
-    assert out is not None  # the whole structure is always a filter
-    return out
+    _check_element(S, x)
+    return frozenset(BITS[_oracle_masks(S.mult, S.leq)[x]])
+
+
+# Callers ask for every element of one structure in turn (the tests, the
+# benchmark's check), so a few entries serve them; each entry holds n masks
+_ORACLE_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_ORACLE_CACHE_SIZE)
+def _oracle_masks(mult, leq) -> tuple[int, ...]:
+    """For each x, the mask of the intersection of the filters containing x.
+
+    Every nonempty subset F is tested once. F is a filter when it holds the
+    up-set of each member and the pairs (a, b) whose product lies in F are
+    exactly F x F, where pair (a, b) is bit a*n + b: the product rule and
+    the divisor rule of ``is_filter`` together. Only the up-sets, found
+    first, take the second test. Reads only the tables, never the
+    structure's own masks, which the saturation reads."""
+    n = len(mult)
+    bits = [1 << b for b in range(n)]
+    up_of = [sum(compress(bits, row)) for row in leq]
+    pairs_to = [0] * n  # the pairs whose product is v
+    pair = 1
+    for row in mult:
+        for v in row:
+            pairs_to[v] |= pair
+            pair <<= 1
+    up = [0]  # entry F: the union of the up-sets of the members of F
+    for ua in up_of:
+        up += [u | ua for u in up]
+    out = [(1 << n) - 1] * n
+    for F in [F for F, u in enumerate(up) if u == F][1:]:  # skip the empty set
+        inside = lead = 0
+        members = BITS[F]
+        for a in members:
+            inside |= pairs_to[a]
+            lead |= 1 << (a * n)
+        if inside == F * lead:  # F * lead is F x F
+            for y in members:
+                out[y] &= F
+    return tuple(out)
 
 
 def thm26_set(S: OrderedAlgebra, x: int) -> frozenset[int]:
     """The set {y | x <= e y* e}, the claimed description of the filter of x
     on star-intra-regular structures (see claims thm26-fwd/thm26-conv)."""
+    _check_element(S, x)
     up_x = S.up_masks[x]
     return frozenset(y for y, v in enumerate(_sandwiches(S)) if up_x >> v & 1)
 

@@ -313,6 +313,26 @@ def oracle_filter_saturation(S, x):
         members = new
 
 
+def oracle_filter_intersection(S, x):
+    """The intersection of every nonempty filter containing x, by testing
+    each subset that holds x as a set against the three filter rules: it
+    is closed under products, holds a and b whenever it holds ab, and holds
+    every element above a member. Reads only the raw tables."""
+    n, mult, leq = S.raw.n, S.raw.mult, S.raw.leq
+    out = set(range(n))  # the whole structure is a filter
+    for mask in range(1, 1 << n):
+        members = {i for i in range(n) if mask >> i & 1}
+        if x not in members or out <= members:
+            continue
+        products = {mult[a][b] for a in members for b in members}
+        divisors = {c for a in range(n) for b in range(n) if mult[a][b] in members
+                    for c in (a, b)}
+        above = {b for a in members for b in range(n) if leq[a][b]}
+        if products | divisors | above <= members:
+            out &= members
+    return frozenset(out)
+
+
 def oracle_thm26_set(S, x):
     """{y | x <= e y* e} from the raw tables, with e found by scanning for
     the element above every element."""

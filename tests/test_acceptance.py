@@ -22,6 +22,7 @@ from starsemi import (
 from starsemi.claims import FAIL
 from starsemi.cli import run as cli_run
 from starsemi.fileformat import load_structure
+from starsemi.filters import ORACLE_MAX_ORDER
 from starsemi.sampling import random_models
 
 from conftest import STRUCTURES, fingerprint, record_acceptance
@@ -148,9 +149,11 @@ def test_criterion_2_exhaustive_claim_sweep(catalog_5):
                     reason="set STARSEMI_SLOW=1 to sweep and fingerprint the order-6 catalog")
 def test_slow_order6_sweep_and_fingerprints(monkeypatch):
     # one walk of the order-6 stream and one pass of the claims: the CLI
-    # sweep, whose claim checks are recorded per model as it makes them
+    # sweep, whose claim checks are recorded per model as it makes them,
+    # and whose models each have their generated filters certified by the
+    # subset oracle
     ids = [c.id for c in list_claims()]
-    digests, verdicts, lines = [], [], []
+    digests, verdicts, lines, filter_mismatches = [], [], [], []
 
     def recorded(S, cid, ctx):
         rep = check_claim(S, cid, ctx)
@@ -161,6 +164,8 @@ def test_slow_order6_sweep_and_fingerprints(monkeypatch):
             digests.append(digest)
             verdicts.append(f"{digest} {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
             lines.clear()
+            if any(filter_generated(S, x).members != filter_oracle(S, x) for x in S.elements()):
+                filter_mismatches.append(digest)
         return rep
 
     monkeypatch.setattr(enumeration, "check_claim", recorded)
@@ -175,6 +180,7 @@ def test_slow_order6_sweep_and_fingerprints(monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == ORDER6_SWEEP_SHA256
     assert fingerprint(digests) == CATALOG_6_FINGERPRINT
     assert fingerprint(verdicts) == VERDICTS_6_FINGERPRINT
+    assert not filter_mismatches
 
 
 class _Discard:
@@ -207,7 +213,7 @@ def test_criterion_4_filter_oracle_equivalence(catalog_upto_4, catalog_5):
             for x in S.elements():
                 if filter_generated(S, x).members != filter_oracle(S, x):
                     mismatches += 1
-        for S in random_models(100, 10, (PO_SEMIGROUP, POE), seed=74):
+        for S in random_models(100, ORACLE_MAX_ORDER, (PO_SEMIGROUP, POE), seed=74):
             for x in S.elements():
                 if filter_generated(S, x).members != filter_oracle(S, x):
                     mismatches += 1

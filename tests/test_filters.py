@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +10,14 @@ from starsemi import (
     INVOLUTION, PO_SEMIGROUP, POE, RawStructure, StructureAnalysis,
     filter_generated, filter_oracle, n_class_partition, thm26_set, validate_structure,
 )
-from starsemi.filters import ORACLE_MAX_ORDER, is_filter
-from starsemi.sampling import random_model
+from starsemi.fileformat import load_structure
+from starsemi.filters import _ORACLE_CACHE_SIZE, ORACLE_MAX_ORDER, _oracle_masks, is_filter
+from starsemi.sampling import random_model, random_models
 
-from support import chain2, mk, one_point, oracle_filter_saturation, oracle_thm26_set
+from conftest import REPO_ROOT, STRUCTURES
+from support import (
+    chain2, mk, one_point, oracle_filter_intersection, oracle_filter_saturation, oracle_thm26_set,
+)
 
 
 def test_chain2_filters():
@@ -34,6 +41,60 @@ def test_oracle_size_guard():
     assert ORACLE_MAX_ORDER == 12
 
 
+@pytest.mark.parametrize("function", [filter_generated, filter_oracle, thm26_set])
+def test_per_element_functions_reject_missing_elements(function):
+    S, _ = chain2()
+    for x in (S.n, -1):
+        with pytest.raises(ValueError, match=f"no element {x} "):
+            function(S, x)
+
+
+def test_oracle_rejects_a_missing_element_under_optimization():
+    # the check is no assert, so `python -O` keeps it
+    code = ("from starsemi import filter_oracle, load_structure, validate_structure\n"
+            "S, _ = validate_structure(load_structure('structures/chain2.txt'))\n"
+            "try:\n"
+            "    filter_oracle(S, 2)\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError', exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], cwd=REPO_ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ValueError no element 2 in a structure of order 2\n"
+
+
+def test_oracle_matches_the_subset_reference(catalog_upto_4):
+    structures = list(catalog_upto_4)
+    structures += [validate_structure(load_structure(path))[0]
+                   for path in sorted(STRUCTURES.glob("*.txt"))]
+    structures += random_models(40, 7, (PO_SEMIGROUP,), seed=20261020)
+    structures += random_models(40, 7, (PO_SEMIGROUP, POE, INVOLUTION), seed=20261021)
+    structures += _random_tables(random.Random(20261022), 80, 6)
+    for S in structures:
+        for x in S.elements():
+            assert filter_oracle(S, x) == oracle_filter_intersection(S, x)
+
+
+def test_oracle_answers_depend_on_the_order():
+    # one table (the join of the chain 0 < 1), two orders: {0} is a filter
+    # only where 1 is not above 0, so a cache that ignored the order would
+    # hand the second structure the first one's answer
+    table = ((0, 1), (1, 1))
+    flat, _ = mk(table)
+    chain, _ = mk(table, pairs=((0, 1),))
+    assert flat.mult == chain.mult
+    assert filter_oracle(flat, 0) == oracle_filter_intersection(flat, 0) == {0}
+    assert filter_oracle(chain, 0) == oracle_filter_intersection(chain, 0) == {0, 1}
+
+
+def test_oracle_cache_is_bounded(catalog_upto_4):
+    assert _oracle_masks.cache_info().maxsize == _ORACLE_CACHE_SIZE
+    for S in catalog_upto_4:
+        filter_oracle(S, 0)
+    assert _oracle_masks.cache_info().currsize == _ORACLE_CACHE_SIZE < len(catalog_upto_4)
+
+
 def test_filter_closure_rules_and_minimality(catalog_upto_3):
     for S in catalog_upto_3:
         for x in S.elements():
@@ -46,7 +107,7 @@ def test_filter_closure_rules_and_minimality(catalog_upto_3):
 @settings(deadline=None, max_examples=30)
 @given(st.integers(0, 10 ** 9))
 def test_saturation_matches_oracle_on_random_structures(seed):
-    S = random_model(random.Random(seed), 9, (PO_SEMIGROUP,))
+    S = random_model(random.Random(seed), ORACLE_MAX_ORDER, (PO_SEMIGROUP,))
     for x in S.elements():
         assert filter_generated(S, x).members == filter_oracle(S, x)
 
