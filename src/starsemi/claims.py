@@ -32,7 +32,7 @@ from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
 from .filters import _filter_classes, _filter_masks, _partition, _window_masks
-from .ideals import classify_all, generated_left, generated_right
+from .ideals import classify_all
 from .regularity import _failure_masks
 from .structure import (
     ALL_TIERS, BITS, INVOLUTION, LE, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, VEE, WEDGE,
@@ -138,6 +138,14 @@ def _full(S) -> int:
     return (1 << S.n) - 1
 
 
+def _generated(S) -> tuple[list, list]:
+    """l(a) and r(a) for every a, as ``ideals.generated_left`` and
+    ``generated_right`` give them: the joins of a with e a and with a e."""
+    join, facts = S.join_table, S._facts
+    return ([join[a][v] for a, v in enumerate(facts.ea)],
+            [join[a][v] for a, v in enumerate(facts.ae)])
+
+
 def _star_image(S, mask: int) -> int:
     """The elements whose star lies in ``mask``."""
     star, out = S.star, 0
@@ -210,8 +218,7 @@ def _body_prop05(ctx):
 def _body_prop06(ctx):
     S = ctx.S
     mult = S.mult
-    lft = [generated_left(S, x) for x in S.elements()]
-    rgt = [generated_right(S, x) for x in S.elements()]
+    lft, rgt = _generated(S)
     ok = 0
     for a, c in enumerate(S.star):
         if mult[a][lft[c]] == mult[rgt[a]][c] and mult[rgt[c]][a] == mult[c][lft[a]]:
@@ -297,8 +304,9 @@ def _squares_generate_body(starred: bool) -> Body:
 def _body_prop14(ctx):
     S = ctx.S
     leq, ok = S.leq, 0
+    lft, rgt = _generated(S)
     for a, c in enumerate(S.star):
-        if leq[a][generated_right(S, c)] and leq[a][generated_left(S, c)]:
+        if leq[a][rgt[c]] and leq[a][lft[c]]:
             ok |= 1 << a
     return 1, _full(S), ok
 
@@ -354,8 +362,9 @@ def _body_thm19(ctx):
 def _body_thm20(ctx):
     S, star_bi = ctx.S, ctx.flag_masks.star_bi
     mult, star, ok = S.mult, S.star, 0
+    lft, rgt = _generated(S)
     for b in BITS[star_bi]:
-        if mult[generated_right(S, star[b])][generated_left(S, star[b])] == b:
+        if mult[rgt[star[b]]][lft[star[b]]] == b:
             ok |= 1 << b
     return 1, star_bi, ok
 

@@ -51,8 +51,10 @@ before its order stream. What the checks read of the order alone (its up-set
 and down-set bitmasks, its greatest element, its join and meet tables, its
 covering and incomparable pairs) and the verdicts of the checks that read
 nothing else (the order axioms, the greatest element, joins and meets) are one
-record, built once per order while it stays in a bounded LRU cache; the order
-filter of the lattice tiers reads the same record, and each model carries it.
+record, ``structure._order_record``, built once per order while it stays in
+that function's bounded LRU cache, which ``validate_structure`` reads too; the
+order filter of the lattice tiers reads the same record, and each model
+carries it.
 Only the checks that read the model run once per model: compatibility,
 join-distributivity and the star's order preservation. Each runs on a gate:
 an order whose covering pairs pass compatibility and order preservation
@@ -682,21 +684,6 @@ def _compatible_order_stream(mult, star=None, require_greatest=False, require_le
     yield from heapq.merge(*(search(*root) for root in roots))
 
 
-# Sized on the involution-poe streams: order 5 reads 756 distinct orders, so
-# every repeat hits; order 6 reads 13,239, and at this size the order records
-# are built 61,157 times for its 319,587 models (13,239 times unbounded, for
-# 17 MB more peak memory)
-_RECORD_CACHE_SIZE = 2048
-
-
-@lru_cache(maxsize=_RECORD_CACHE_SIZE)
-def _record(leq):
-    """``_order_record(leq)``, built once per order while it stays cached: many
-    (table, star) pairs share their orders, and the order filter, the
-    re-check and the model of each order all read the record."""
-    return _order_record(leq)
-
-
 def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_joins,
                      require_meets, require_join_distributivity):
     """The compatible order stream, minus orders that are not the least in
@@ -710,7 +697,7 @@ def _filtered_orders(mult, star, nontrivial_auts, *, require_greatest, require_j
         if relabelings and any(_relabeled_first(leq, p, get) for p, get in relabelings):
             continue
         if require_joins or require_meets or require_join_distributivity:
-            record = _record(leq)
+            record = _order_record(leq)
             if (require_joins or require_join_distributivity) and VEE in record.failed:
                 continue  # a pair without a join
             if require_meets and WEDGE in record.failed:
@@ -800,7 +787,7 @@ def _finish_model(pair, leq, tiers, pair_failed):
     # the full tier set of the model: ``pair_failed`` holds the tiers that the
     # checks of (mult, star) failed, the record those that the order alone
     # fails, and the checks that read the model run here
-    model = _accepted_structure(pair._with_order(leq), pair_failed, _record(leq))
+    model = _accepted_structure(pair._with_order(leq), pair_failed, _order_record(leq))
     missing = tiers - model.tiers
     if missing:  # a bug in the search
         raise RuntimeError(f"enumerated model misses tiers {sorted(missing)}")

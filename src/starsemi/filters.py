@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Optional
 
-from .structure import BITS, INVOLUTION, OrderedAlgebra
+from .structure import BITS, INVOLUTION, OrderedAlgebra, _check_element
 
 ORACLE_MAX_ORDER = 12
 
@@ -46,11 +46,6 @@ class NClassPartition:
             if x in blk:
                 return i
         raise ValueError(f"element {x} not in partition")
-
-
-def _check_element(S: OrderedAlgebra, x: int) -> None:
-    if x not in S.elements():
-        raise ValueError(f"no element {x} in a structure of order {S.n}")
 
 
 def filter_generated(S: OrderedAlgebra, x: int) -> FilterSet:

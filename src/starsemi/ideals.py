@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .structure import INVOLUTION, OrderedAlgebra
+from .structure import INVOLUTION, OrderedAlgebra, _check_element
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,14 @@ def _require_top(S: OrderedAlgebra) -> int:
 def generated_left(S: OrderedAlgebra, a: int) -> Optional[int]:
     """Least left ideal element above a: the join of a and ea, or None if the
     join does not exist."""
+    _check_element(S, a)
     e = _require_top(S)
     return S.join_table[a][S.mult[e][a]]
 
 
 def generated_right(S: OrderedAlgebra, a: int) -> Optional[int]:
     """Least right ideal element above a: the join of a and ae."""
+    _check_element(S, a)
     e = _require_top(S)
     return S.join_table[a][S.mult[a][e]]
 
@@ -63,6 +65,8 @@ def generated_right(S: OrderedAlgebra, a: int) -> Optional[int]:
 def in_ideal_generated(S: OrderedAlgebra, x: int, a: int) -> bool:
     """Membership of x in the two-sided ideal generated by a, as the
     four-case bound: x <= a or x <= ea or x <= ae or x <= eae."""
+    _check_element(S, x)
+    _check_element(S, a)
     e = _require_top(S)
     mult, above_x = S.mult, S.leq[x]
     ea = mult[e][a]
@@ -168,8 +172,7 @@ class _Classification(tuple):
 
 def classify_element(S: OrderedAlgebra, a: int) -> ElementClassification:
     """Decide every element-level predicate for a by direct table checks."""
-    if a not in S.elements():
-        raise ValueError(f"no element {a} in a structure of order {S.n}")
+    _check_element(S, a)
     return _records(_flag_masks(S), S.n)[a]
 
 

@@ -8,9 +8,12 @@ the order that the validation and the analysis modules read (the up-set and
 down-set bitmasks, the greatest element and the partial join/meet tables) are
 built once, as one record per order, with the verdicts of the checks that read
 only the order and the order's covering and incomparable pairs; the validated
-structure carries the record. What the filters and the claims read of the
-table, the star and the top alone is a second record, built once per such
-triple while it stays in a small cache.
+structure carries the record. The records of orders on at most six points
+stay in one bounded LRU cache, which the validation and the enumeration's
+model stream both read, and validation lists the violations of an order-only
+check only where the record says it fails. What the filters and the claims
+read of the table, the star and the top alone is a second record, built once
+per such triple while it stays in a small cache.
 """
 
 from __future__ import annotations
@@ -261,6 +264,12 @@ class OrderedAlgebra:
         return _table_facts(self.raw.mult, self.raw.star, self.e)
 
 
+def _check_element(S: OrderedAlgebra, x: int) -> None:
+    """Raise ``ValueError`` unless x is an element of S."""
+    if x not in S.elements():
+        raise ValueError(f"no element {x} in a structure of order {S.n}")
+
+
 class _TableFacts(NamedTuple):
     """What the filters and the claims read of a table, its star and its
     top e, and nothing else. ``divisors[v]`` has bits a and b set for every
@@ -377,12 +386,45 @@ class _OrderRecord(NamedTuple):
     apart: Optional[tuple[int, ...]]
 
 
+# Labeled orders recur only on few points (OEIS A001035: 19, 219, 4,231 and
+# 130,023 labeled orders on 3-6 points). From 7 points there are 6.1 M, so a
+# validated order almost never recurs, and the records of relations of up to
+# MAX_ORDER points would pin many MB; a larger relation's record is built on
+# every call.
+_RECORD_MAX_ORDER = 6
+
+# Sized on the involution-poe streams: order 5 reads 756 distinct orders, so
+# every repeat hits; order 6 reads 13,239, and at this size the order records
+# are built 61,157 times for its 319,587 models (13,239 times unbounded, for
+# 17 MB more peak memory)
+_RECORD_CACHE_SIZE = 2048
+
+
 def _order_record(leq) -> _OrderRecord:
-    """The record of an order relation, built once: its up and down masks,
-    its greatest element (the first t whose down mask is full), its join and
-    meet tables, the tiers its order-only checks fail, and on a partial order
-    its covering and incomparable pairs."""
-    up, down = _masks(leq), _masks(tuple(zip(*leq)))
+    """The record of an order relation: its up and down masks, its greatest
+    element (the first t whose down mask is full), its join and meet tables,
+    the tiers its order-only checks fail, and on a partial order its
+    covering and incomparable pairs. The record of a relation on at most
+    ``_RECORD_MAX_ORDER`` points is built once while it stays in an LRU
+    cache, keyed on its up masks, which determine the relation: many
+    (table, star) pairs and validated structures share their orders."""
+    up = _masks(leq)
+    if len(up) > _RECORD_MAX_ORDER:
+        return _build_order_record(leq, up)
+    return _cached_order_record(up)
+
+
+@lru_cache(maxsize=_RECORD_CACHE_SIZE)
+def _cached_order_record(up) -> _OrderRecord:
+    """``_order_record`` of the relation whose up masks are ``up``."""
+    n = len(up)
+    leq = tuple([tuple([bool(u >> b & 1) for b in range(n)]) for u in up])
+    return _build_order_record(leq, up)
+
+
+def _build_order_record(leq, up) -> _OrderRecord:
+    """The record of ``leq``, given its up masks."""
+    down = _masks(tuple(zip(*leq)))
     n = len(leq)
     full = (1 << n) - 1
     e = down.index(full) if full in down else None
@@ -522,10 +564,15 @@ def _pair_checks(mult, star):
     return _check_associativity(mult), _check_star_laws(mult, star)
 
 
+# The tiers of ``_order_only_checks``, in their order
+_ORDER_ONLY_TIERS = (PO_GROUPOID, POE, VEE, WEDGE)
+
+
 def _order_only_checks(leq, up, down, e, join_t, meet_t):
-    """The checks that read only the order, one per tier: the order axioms
-    (po-groupoid), the greatest element (poe), joins (vee) and meets
-    (wedge), given the views of ``_order_record``."""
+    """The checks that read only the order, one per tier of
+    ``_ORDER_ONLY_TIERS``: the order axioms (po-groupoid), the greatest
+    element (poe), joins (vee) and meets (wedge), given the views of
+    ``_order_record``."""
     return (_check_order_axioms(up, down), _check_poe(leq, e),
             _check_bounds(join_t, VEE, "join-exists", "pair has no least upper bound"),
             _check_bounds(meet_t, WEDGE, "meet-exists", "pair has no greatest lower bound"))
@@ -568,9 +615,14 @@ def _model_checks(raw: RawStructure, record, every=False):
 
 
 def _tier_checks(raw: RawStructure, record):
-    """One lazy generator of violations per tier, in validation order."""
+    """One lazy generator of violations per tier, in validation order. The
+    order-only checks run only for the tiers in ``record.failed``: the record
+    read the first violation of each on the same relation, so the others
+    list none."""
     associativity, star_laws = _pair_checks(raw.mult, raw.star)
-    order_axioms, poe, joins, meets = _order_only_checks(raw.leq, *record[:5])
+    order_axioms, poe, joins, meets = (
+        check if tier in record.failed else iter(())
+        for tier, check in zip(_ORDER_ONLY_TIERS, _order_only_checks(raw.leq, *record[:5])))
     compat, distributive, star_order = _model_checks(raw, record, every=True)
     return (chain(order_axioms, compat), associativity, poe, chain(joins, distributive), meets,
             chain(star_laws, star_order))

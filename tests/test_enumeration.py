@@ -281,24 +281,24 @@ def test_recheck_runs_each_check_once_per_object_it_reads(monkeypatch):
     # associativity reads only the table: it runs once per (table, star)
     # pair, as the star laws and the range checks of the table and the star
     # do; the record of an order, with its bounds tables and the checks that
-    # read only the order, is built once per order
-    pairs, tables, assoc, records, bounds, order_checks = [], [], [], [], [], []
+    # read only the order, is built once per order: each build runs the
+    # bounds tables and the order axioms once, and misses the record cache
+    pairs, tables, assoc, bounds, order_checks = [], [], [], [], []
     monkeypatch.setattr(enumeration, "_filtered_orders",
                         _counted(pairs, enumeration._filtered_orders))
     monkeypatch.setattr(RawStructure, "__post_init__",
                         _counted(tables, RawStructure.__post_init__))
     monkeypatch.setattr(structure, "_check_associativity",
                         _counted(assoc, structure._check_associativity))
-    monkeypatch.setattr(enumeration, "_order_record",
-                        _counted(records, structure._order_record))
     monkeypatch.setattr(structure, "bounds_tables", _counted(bounds, structure.bounds_tables))
     monkeypatch.setattr(structure, "_check_order_axioms",
                         _counted(order_checks, structure._check_order_axioms))
-    enumeration._record.cache_clear()
+    structure._cached_order_record.cache_clear()
     models = list(enumerate_models(ModelSpec(order=4, required_tiers=frozenset({INVOLUTION, POE}))))
     assert len(models) == INVOLUTION_POE_MODELS[4]
     assert len(assoc) == len(tables) == len(pairs) == len({args[:2] for args in pairs}) == 83
-    assert len(records) == len(bounds) == len(order_checks) == len({S.leq for S in models}) == 64
+    builds = structure._cached_order_record.cache_info().misses
+    assert builds == len(bounds) == len(order_checks) == len({S.leq for S in models}) == 64
     # each model shares the checked table and star of its pair
     checked = {(id(raw.mult), id(raw.star)) for raw, in tables}
     assert all((id(S.mult), id(S.star)) in checked for S in models)

@@ -8,6 +8,7 @@ from starsemi import (
     classify_all, classify_element, generated_left, generated_right, in_ideal_generated,
     validate_structure,
 )
+from starsemi.claims import _generated
 from starsemi.sampling import random_model, random_models
 
 from support import chain2, example2, mk, one_point, oracle_classify
@@ -37,6 +38,19 @@ def test_classify_element_refuses_an_element_outside_the_structure():
             classify_element(S, a)
 
 
+@pytest.mark.parametrize("call", [
+    lambda S, x: generated_left(S, x),
+    lambda S, x: generated_right(S, x),
+    lambda S, x: in_ideal_generated(S, x, 0),
+    lambda S, x: in_ideal_generated(S, 0, x),
+], ids=["generated_left", "generated_right", "in_ideal_generated-x", "in_ideal_generated-a"])
+def test_element_functions_reject_missing_elements(call):
+    S, _ = chain2()
+    for x in (S.n, -1):
+        with pytest.raises(ValueError, match=f"^no element {x} in a structure of order 2$"):
+            call(S, x)
+
+
 def test_generated_on_chain2():
     S, _ = chain2()
     assert generated_left(S, 0) == 0   # e*0 = 0, absorbing bottom
@@ -53,6 +67,9 @@ def test_generated_raises_without_top():
 @given(st.integers(0, 10 ** 9))
 def test_generated_ideals_are_least(seed):
     S = random_model(random.Random(seed), 7, VEE_TIERS)
+    # the claim bodies read l(a) and r(a) of every a at once
+    assert _generated(S) == ([generated_left(S, a) for a in S.elements()],
+                             [generated_right(S, a) for a in S.elements()])
     for a in S.elements():
         la, ra = generated_left(S, a), generated_right(S, a)
         assert la == brute_least_left_ideal_above(S, a)

@@ -18,15 +18,18 @@ from starsemi import (
     tier_closure,
     validate_structure,
 )
-from starsemi.sampling import random_model
+from starsemi.sampling import random_model, random_models
 from starsemi.ideals import in_ideal_generated
+from starsemi.fileformat import load_structure
 from starsemi.structure import (
-    _TABLE_FACTS_CACHE_SIZE, _accepted_structure, _order_record, _pair_failures, _table_facts,
-    bounds_tables, chain_leq, reflexive_transitive_closure,
+    _RECORD_CACHE_SIZE, _RECORD_MAX_ORDER, _TABLE_FACTS_CACHE_SIZE, _accepted_structure,
+    _cached_order_record, _order_record, _pair_failures, _table_facts, bounds_tables, chain_leq,
+    reflexive_transitive_closure,
 )
 import random
 from itertools import islice
 
+from conftest import STRUCTURES
 from support import (
     EXAMPLE2_MULT, EXAMPLE2_STAR, chain2, diamond_constant, example2, mk, one_point,
     oracle_bounds_tables, oracle_order_views, oracle_table_facts, oracle_violations, scan_join,
@@ -359,3 +362,63 @@ def test_table_facts_are_kept_per_top(catalog_upto_4):
         _table_facts.cache_clear()
         assert facts == _table_facts(S.mult, S.star, S.e)
     assert got[0] != got[1]
+
+
+def _random_relations(count, seed):
+    """Raw structures of 1-7 points with random tables and relations of
+    random density, most of them not partial orders."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        density = rng.random()
+        mult = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        leq = tuple(tuple(rng.random() < density for _ in range(n)) for _ in range(n))
+        star = rng.choice((None, tuple(range(n))))
+        out.append(RawStructure(n=n, mult=mult, leq=leq, star=star))
+    return out
+
+
+def _validated(raw):
+    S, report = validate_structure(raw)
+    return S, S.up_masks, S.down_masks, report.accepted, report.violations
+
+
+def test_validation_is_the_same_with_a_cold_and_a_warm_record_cache(catalog_upto_4):
+    # each structure validated from an empty cache, then all of them in turn
+    # from the cache the others left: a record kept under a key coarser
+    # than the relation would hand one relation the record of another
+    raws = with_relabelings([S.raw for S in catalog_upto_4], seed=28)
+    raws += [load_structure(path) for path in sorted(STRUCTURES.glob("*.txt"))]
+    relations = _random_relations(300, seed=2028)
+    raws += relations
+    # beyond the cached bound, each record is built on every call
+    raws += [S.raw for S in random_models(60, 8, (PO_SEMIGROUP, POE, INVOLUTION), seed=2029)]
+    assert any(raw.n > _RECORD_MAX_ORDER for raw in raws)
+    failing = {v.axiom for raw in relations for v in validate_structure(raw)[1].violations}
+    assert {"order-reflexive", "order-antisymmetric", "order-transitive"} <= failing
+    cold = []
+    for raw in raws:
+        _cached_order_record.cache_clear()
+        cold.append(_validated(raw))
+    for raw, expected in zip(raws, cold):
+        assert _validated(raw) == expected
+    assert _cached_order_record.cache_info().hits > 0
+
+
+def test_record_cache_shares_small_orders_and_stays_bounded():
+    _cached_order_record.cache_clear()
+    raw = RawStructure(n=3, mult=((0,) * 3,) * 3, leq=chain_leq(3))
+    first, second = validate_structure(raw)[0], validate_structure(raw)[0]
+    assert first.up_masks is second.up_masks  # one record
+    assert _order_record(raw.leq) is _order_record(chain_leq(3))
+    assert _cached_order_record.cache_info().currsize == 1
+    # a relation on more points is not cached: its record is built anew
+    big = chain_leq(_RECORD_MAX_ORDER + 1)
+    assert _order_record(big) is not _order_record(big)
+    assert _order_record(big) == _order_record(big)
+    assert _cached_order_record.cache_info().currsize == 1
+    # more distinct relations than the cache holds, on 4 points
+    for k in range(_RECORD_CACHE_SIZE + 100):
+        _order_record(tuple(tuple(bool(k >> 4 * a + b & 1) for b in range(4)) for a in range(4)))
+    assert _cached_order_record.cache_info().currsize == _RECORD_CACHE_SIZE
