@@ -23,7 +23,10 @@ fixed, and fills each cell together with the partner cell that
 built. Each run of the table search for the semigroup classes visits only the
 lex-leaders under the relabelings that commute with its star (all of them
 without a star), so it builds one table per orbit of that group instead of
-every labeled table.
+every labeled table. Each relabeling is compared with the partial table only
+at the step that defines its next comparison, from where it last stopped: a
+branch is cut at the cell that decides it is no lex-leader, and a relabeling
+whose image can no longer come out below the table leaves the branch.
 
 Isomorphism rejection of the tables needs a key only where that group is
 smaller than Sym(n). The run without a star and the identity-star run (the
@@ -363,55 +366,76 @@ def _assoc_tables(n: int, star=None, symmetries=()):
     where g(M)[i][j] = g(M[g^-1 i][g^-1 j]) and tables compare cell by cell in
     the walk order, the fill order with each partner right after its cell. These
     are the symmetry-breaking predicates of Crawford, Ginsberg, Luks & Roy,
-    "Symmetry-breaking predicates for search problems", KR 1996. At the last
-    cell of each block the partial table is compared with each g(M) in walk
-    order up to the first cell undefined on either side, and the branch is
-    cut when the first difference has g(M) < M: every completion keeps that
-    difference. The least table of each orbit is never cut, so every orbit
-    met by the unpruned search keeps exactly one table.
+    "Symmetry-breaking predicates for search problems", KR 1996.
+
+    Each g is watched, as SAT solvers watch literals (Moskewicz et al.,
+    "Chaff", DAC 2001). The step of a cell is its index in ``cells``, and a
+    partner takes the step of its cell, which can be a block before its own.
+    Walk position p of g compares M at (i, j) with M at (g^-1 i, g^-1 j), and
+    becomes comparable at the later of those two cells' steps. ``watch[k]``
+    holds each g whose next position becomes comparable at step k, with the
+    position to resume from. Once the value of cell k passes ``ok``, each g
+    in ``watch[k]`` is compared from that position on, up to the first
+    position that differs or is not yet comparable. A difference with
+    g(M) < M cuts the branch: every completion keeps it. A difference with
+    g(M) > M takes g out of the branch, since no completion can undo it. A
+    position that is not yet comparable puts g on the watch list of its
+    step; each such append is popped when the value is undone, so the
+    siblings see the watch lists as they were. The least table of each
+    orbit is never cut, so every orbit met by the unpruned search keeps
+    exactly one table.
     """
     order = []
     for t in range(n):
         order.extend((t, j) for j in range(t + 1))
         order.extend((i, t) for i in range(t))
     cells, mates, values = [], [], []
-    mated = set()
+    step = {}
     for i, j in order:
-        if (i, j) in mated:
+        if (i, j) in step:
             continue
         mate = None if star is None else (star[j], star[i])
         if mate == (i, j):
             mate, vals = None, tuple(v for v in range(n) if star[v] == v)
         else:
             vals = range(n)
-            mated.add(mate)
+            step[mate] = len(cells)
+        step[i, j] = len(cells)
         cells.append((i, j))
         mates.append(mate)
         values.append(vals)
     walk = [c for cell, mate in zip(cells, mates) for c in (cell, mate) if c is not None]
-    leaders = []
-    for g in symmetries:
-        ginv = _perm_inverse(g)
-        leaders.append((g, [(i, j, ginv[i], ginv[j]) for i, j in walk]))
-    blocks = [max(cell) for cell in cells] + [n]
-    block_end = [blocks[k] != blocks[k + 1] for k in range(len(cells))]
     last = len(cells) - 1
     m = [[None] * n for _ in range(n)]
     occ = [[] for _ in range(n)]
+    # one more list for the end of the walk, which no step reaches: a g whose
+    # every position is equal waits there
+    watch = [[] for _ in range(len(cells) + 1)]
+    end = (None, None, None, None, len(cells))
+    for g in symmetries:
+        ginv = _perm_inverse(g)
+        positions = tuple([(m[i], j, m[ginv[i]], ginv[j], max(step[i, j], step[ginv[i], ginv[j]]))
+                           for i, j in walk] + [end])
+        watch[positions[0][4]].append((g, positions, 0))
 
-    def lex_leader():
-        # False when some g(M) is below M at the first cell, in walk order,
-        # where the two differ, all cells before it defined on both sides
-        for g, pairs in leaders:
-            for i, j, a, b in pairs:
-                x, y = m[i][j], m[a][b]
-                if x is None or y is None:
-                    break
-                y = g[y]
+    def lex_leader(k, trail):
+        # False when some g watched at step k has g(M) below M at its first
+        # difference; every g still undecided is put on the watch list of its
+        # next position's step, and each list it joins goes on ``trail``
+        for g, positions, r in watch[k]:
+            row, j, image_row, b, s = positions[r]
+            while s <= k:
+                x, y = row[j], g[image_row[b]]
                 if y != x:
                     if y < x:
                         return False
                     break
+                r += 1
+                row, j, image_row, b, s = positions[r]
+            else:
+                waiting = watch[s]
+                waiting.append((g, positions, r))
+                trail.append(waiting)
         return True
 
     def ok(i, j):
@@ -461,11 +485,15 @@ def _assoc_tables(n: int, star=None, symmetries=()):
             # exactly when its star image (c*b*)a* = c*(b*a*) does, and
             # every triple through the mate is the image of one through
             # (i, j): checking (i, j) alone suffices
-            if ok(i, j) and (not block_end[k] or lex_leader()):
-                if k == last:
-                    yield tuple(map(tuple, m))
-                else:
-                    yield from fill(k + 1)
+            if ok(i, j):
+                trail = []
+                if lex_leader(k, trail):
+                    if k == last:
+                        yield tuple(map(tuple, m))
+                    else:
+                        yield from fill(k + 1)
+                for waiting in trail:
+                    waiting.pop()
             if mate is not None:
                 occ[w].pop()
             occ[v].pop()
@@ -504,10 +532,11 @@ def _involutions(mult):
     return [p for p in _involutive_perms(len(mult)) if _anti_automorphic(mult, p)]
 
 
-@lru_cache(maxsize=16)
 def semigroup_representatives(n: int, star_admitting: bool = False):
     """One table per isomorphism class of associative n*n tables, optionally
     restricted to the classes admitting an involutive anti-automorphism.
+    The result is cached on (n, bool(star_admitting)), so every spelling of
+    the same request returns the same tuple.
 
     With the restriction, the search runs once per involution in normal form,
     the transpositions (0 1)(2 3)...(2k-2 2k-1) with the other elements fixed,
@@ -541,6 +570,11 @@ def semigroup_representatives(n: int, star_admitting: bool = False):
     order search of each table reaches its first model. The naive-oracle
     tests check the result class by class.
     """
+    return _semigroup_representatives(n, bool(star_admitting))
+
+
+@lru_cache(maxsize=16)
+def _semigroup_representatives(n, star_admitting):
     identity = tuple(range(n))
     if star_admitting:  # k = 0 is the identity star
         stars = [tuple(x ^ 1 if x < 2 * k else x for x in identity) for k in range(n // 2 + 1)]

@@ -14,6 +14,7 @@ from starsemi import (
 from starsemi import RawStructure, StructureError, enumeration, structure
 from starsemi.enumeration import (
     _assoc_tables, _centralizer, _compatible_order_stream, _involutions, _relabeled_first,
+    _symmetry,
 )
 from starsemi.fileformat import load_structure
 from starsemi.structure import equality_leq
@@ -31,8 +32,9 @@ from support import (
 # at order 4 (and at order 5 for the star-admitting classes, where the earlier
 # generate-then-filter enumerator gave the same 405 representatives). The
 # semigroup classes of orders 1-6 are OEIS A027851 (1, 5, 24, 188, 1915,
-# 28634); the 3,312 star-admitting classes of order 6 are the 28,634 filtered
-# by ``admits_involution``.
+# 28634, pinned by the opt-in test_slow_class_counts_of_orders_6_and_7); the
+# 3,312 star-admitting classes of order 6 are the 28,634 filtered by
+# ``admits_involution``.
 LABELED_ASSOCIATIVE = {1: 1, 2: 8, 3: 113, 4: 3492}
 SEMIGROUP_CLASSES = {1: 1, 2: 5, 3: 24, 4: 188, 5: 1915}
 STAR_ADMITTING_CLASSES = {1: 1, 2: 3, 3: 12, 4: 64, 5: 405, 6: 3312}
@@ -148,15 +150,52 @@ def _normal_form_stars(n):
 
 def test_pruned_search_visits_exactly_the_lex_leaders():
     # every run of the class search, pruned by its group, against the
-    # unpruned tables filtered by the brute-force check
-    for n in (1, 2, 3, 4):
-        for star in [None] + _normal_form_stars(n):
-            group = commuting_perms(n, star)
-            symmetries = _centralizer(star or tuple(range(n)))
-            assert symmetries == group
-            unpruned = list(_assoc_tables(n, star))
-            pruned = list(_assoc_tables(n, star, symmetries=symmetries))
-            assert pruned == [m for m in unpruned if lex_leader(m, search_walk(n, star), group)]
+    # unpruned tables filtered by the brute-force check; at order 5 the two
+    # stars that move points, where a partner cell is filled a block before
+    # its own, so a symmetry can compare a cell of a later block early
+    runs = [(n, star) for n in (1, 2, 3, 4) for star in [None] + _normal_form_stars(n)]
+    runs += [(5, star) for star in _normal_form_stars(5)[1:]]
+    for n, star in runs:
+        group = commuting_perms(n, star)
+        symmetries = _centralizer(star or tuple(range(n)))
+        assert symmetries == group
+        unpruned = list(_assoc_tables(n, star))
+        pruned = list(_assoc_tables(n, star, symmetries=symmetries))
+        assert pruned == [m for m in unpruned if lex_leader(m, search_walk(n, star), group)]
+        if n == 5:
+            assert len(unpruned) == {(1, 0, 2, 3, 4): 1614, (1, 0, 3, 2, 4): 50}[star]
+
+
+def test_identity_star_run_keeps_one_table_per_commutative_class():
+    # the commutative semigroup classes of orders 1-5, OEIS A001426
+    for n, want in {1: 1, 2: 3, 3: 12, 4: 58, 5: 325}.items():
+        identity = tuple(range(n))
+        tables = list(_assoc_tables(n, identity, symmetries=_centralizer(identity)))
+        assert len(tables) == want
+        assert len({_symmetry(m)[0] for m in tables}) == want
+
+
+def test_representatives_are_cached_once_per_request():
+    # every spelling of one request is one cache entry, so one search
+    enumeration._semigroup_representatives.cache_clear()
+    first = semigroup_representatives(3, True)
+    assert semigroup_representatives(3, star_admitting=True) is first
+    assert semigroup_representatives(3, star_admitting=1) is first
+    assert semigroup_representatives(3) is semigroup_representatives(3, star_admitting=0)
+    info = enumeration._semigroup_representatives.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+@pytest.mark.skipif(os.environ.get("STARSEMI_SLOW") != "1",
+                    reason="set STARSEMI_SLOW=1 to run the class searches of orders 6 and 7")
+def test_slow_class_counts_of_orders_6_and_7():
+    # 28,634 classes of order 6 (OEIS A027851) and 2,143 commutative ones
+    # (OEIS A001426); the 44,366 star-admitting classes of order 7 are this
+    # enumerator's own count, with no independent source
+    assert len(semigroup_representatives(6)) == 28634
+    identity = tuple(range(6))
+    assert sum(1 for _ in _assoc_tables(6, identity, symmetries=_centralizer(identity))) == 2143
+    assert len(semigroup_representatives(7, star_admitting=True)) == 44366
 
 
 def test_representatives_are_the_classes_of_the_unpruned_search():
