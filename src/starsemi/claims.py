@@ -14,8 +14,11 @@ never re-uses the characterization it asserts: bodies go through the
 definitional operations of the ideals/regularity/filters modules, shared per
 structure by ``StructureAnalysis``, and evaluate products, stars, bounds and
 the order by reading the structure's tables directly, or the facts of its
-table, star and top, which the structures with the same three share. What a
-check does besides running bodies (the tier test, the hypothesis and the
+table, star and top, which the structures with the same three share. The one
+body that reads only the join and meet tables and the star, ``prop05``,
+reads its masks from a record kept per such triple (``_star_bounds``), so it
+runs its loop once per order and star rather than once per structure. What
+a check does besides running bodies (the tier test, the hypothesis and the
 not-applicable reports) is settled once per tier set, in ``_plan``.
 
 Claim ids are stable. Theorems stated as equivalences are split into -fwd
@@ -27,7 +30,7 @@ the same way (e.g. prop07 / prop07-bi).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Callable, NamedTuple, Optional
 
@@ -35,8 +38,8 @@ from .filters import _filter_classes, _filter_masks, _partition, _window_masks
 from .ideals import classify_all
 from .regularity import _failure_masks
 from .structure import (
-    ALL_TIERS, BITS, INVOLUTION, LE, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE, VEE, WEDGE,
-    _Memo,
+    ALL_TIERS, BITS, INVOLUTION, LE, MAX_ORDER, OrderedAlgebra, PO_GROUPOID, PO_SEMIGROUP, POE,
+    VEE, WEDGE, _lazy, _Memo, _star_bounds,
 )
 
 STATEMENT = "statement"
@@ -76,7 +79,10 @@ class StructureAnalysis:
     filter class and star window {y | x <= e y* e} of every element, each the
     mask form of what its module's public function returns; the filter-class
     partition; and, through ``outcome``, the outcome of every claim body
-    that a verdict or a hypothesis has asked for."""
+    that a verdict or a hypothesis has asked for. The facts are lazy
+    attributes (``structure._lazy``), kept in the analysis itself; what the
+    bodies read of the table, star and top, or of the order and star, comes
+    from the records that the structures with the same ones share."""
 
     def __init__(self, S: OrderedAlgebra):
         self.S = S
@@ -99,27 +105,27 @@ class StructureAnalysis:
             out = self._outcomes[body] = (guard.bit_count(), witness)
         return out
 
-    @cached_property
+    @_lazy
     def flag_masks(self):
         return classify_all(self.S).masks
 
-    @cached_property
+    @_lazy
     def failure_masks(self):
         return _failure_masks(self.S)
 
-    @cached_property
+    @_lazy
     def filter_masks(self):
         return _filter_masks(self.S)
 
-    @cached_property
+    @_lazy
     def filter_classes(self):
         return _filter_classes(self.filter_masks)
 
-    @cached_property
+    @_lazy
     def partition(self):
         return _partition(self.S, self.filter_classes)
 
-    @cached_property
+    @_lazy
     def window_masks(self):
         return _window_masks(self.S)
 
@@ -134,8 +140,12 @@ class StructureAnalysis:
 Body = Callable[[StructureAnalysis], tuple[int, int, int]]
 
 
+# ``_FULL[n]``: the mask of all n elements
+_FULL = tuple((1 << n) - 1 for n in range(MAX_ORDER + 1))
+
+
 def _full(S) -> int:
-    return (1 << S.n) - 1
+    return _FULL[S.n]
 
 
 def _generated(S) -> tuple[list, list]:
@@ -202,17 +212,7 @@ _body_prop04_bi = _flag_body(("star_quasi",), "star_bi")
 
 def _body_prop05(ctx):
     S = ctx.S
-    n, star = S.n, S.star
-    guard = bad = 0
-    for table in (S.join_table, S.meet_table):
-        for a, row in enumerate(table):
-            starred = table[star[a]]
-            for b, u in enumerate(row):
-                if u is not None:
-                    guard |= 1 << a * n + b
-                    if star[u] != starred[star[b]]:
-                        bad |= 1 << a * n + b
-    return 2, guard, ~bad
+    return 2, *_star_bounds(S.join_table, S.meet_table, S.star)
 
 
 def _body_prop06(ctx):
@@ -745,8 +745,11 @@ def check_all(S: OrderedAlgebra,
 
 
 def replay_counterexample(S: OrderedAlgebra, report: ClaimReport) -> bool:
-    """Re-evaluate a failed claim body and test the reported witness's
-    binding; True when the witness is an instance that violates the claim."""
+    """Re-evaluate a failed claim body on a fresh ``StructureAnalysis`` and
+    test the reported witness's binding; True when the witness is an
+    instance that violates the claim. The analysis is fresh, but the shared
+    records are not rebuilt: ``prop05`` reads the masks kept for the order
+    and star of S, as ``prop23`` reads its table facts."""
     if report.status != FAIL or report.counterexample is None:
         raise ValueError("report carries no counterexample")
     arity, guard, ok = _lookup(report.claim_id).body(StructureAnalysis(S))

@@ -3,8 +3,8 @@
 Layout::
 
     # comment (anywhere; rest of line ignored)
-    n 5
-    labels a b c d f          # optional; defaults to 0..n-1
+    n 5                       # at most MAX_ORDER
+    labels a b c d f          # optional, before the sections below; defaults to 0..n-1
     mult                      # n rows of n whitespace-separated labels
     a a a a a
     ...
@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from .structure import (
+    MAX_ORDER,
     OrderedAlgebra,
     RawStructure,
     StructureError,
@@ -63,9 +64,14 @@ def parse_structure(text: str, source: str = "<string>") -> RawStructure:
         raise FormatError(f"bad element count {tokens[1]!r}", lineno, source) from None
     if n < 1:
         raise FormatError(f"element count must be positive, got {n}", lineno, source)
+    if n > MAX_ORDER:
+        raise FormatError(f"element count must be at most {MAX_ORDER}, got {n}", lineno, source)
     pos += 1
 
     labels: Optional[list[str]] = None
+    # the labels that name the elements: the default 0..n-1 until a labels
+    # section, which must come before every section that names elements
+    names = [str(i) for i in range(n)]
     mult: Optional[list[list[int]]] = None
     leq_pairs: list[tuple[int, int]] = []
     leq_line: Optional[int] = None
@@ -73,9 +79,8 @@ def parse_structure(text: str, source: str = "<string>") -> RawStructure:
     seen: set[str] = set()
 
     def index_of(tok: str, lineno: int) -> int:
-        table = labels if labels is not None else [str(i) for i in range(n)]
         try:
-            return table.index(tok)
+            return names.index(tok)
         except ValueError:
             raise FormatError(f"unknown element label {tok!r}", lineno, source) from None
 
@@ -85,8 +90,8 @@ def parse_structure(text: str, source: str = "<string>") -> RawStructure:
         if key in seen:
             raise FormatError(f"duplicate section {key!r}", lineno, source)
         if key == "labels":
-            if mult is not None:
-                raise FormatError("labels must come before mult", lineno, source)
+            if seen & {"mult", "leq", "star"}:
+                raise FormatError("labels must come before mult, leq and star", lineno, source)
             if len(tokens) != n + 1:
                 raise FormatError(f"expected {n} labels, got {len(tokens) - 1}", lineno, source)
             labels = tokens[1:]
@@ -95,6 +100,7 @@ def parse_structure(text: str, source: str = "<string>") -> RawStructure:
             for lab in labels:
                 if lab in ("labels", "mult", "leq", "star", "n"):
                     raise FormatError(f"label {lab!r} collides with a section keyword", lineno, source)
+            names = labels
             seen.add(key)
             pos += 1
         elif key == "mult":
@@ -145,9 +151,8 @@ def parse_structure(text: str, source: str = "<string>") -> RawStructure:
     cyc = antisymmetry_witness(leq)
     if cyc is not None:
         a, b = cyc
-        lab = labels if labels is not None else [str(i) for i in range(n)]
         raise FormatError(
-            f"leq contains a cycle: {lab[a]} <= {lab[b]} and {lab[b]} <= {lab[a]}",
+            f"leq contains a cycle: {names[a]} <= {names[b]} and {names[b]} <= {names[a]}",
             leq_line, source)
     try:
         return RawStructure(n=n, mult=tuple(map(tuple, mult)), leq=leq,

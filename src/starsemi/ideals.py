@@ -96,18 +96,15 @@ class _FlagMasks(NamedTuple):
 
 
 def _flag_masks(S: OrderedAlgebra) -> _FlagMasks:
-    """Every flag of every element: the plain flags test a through a itself,
-    the starred ones through a*."""
+    """Every flag of every element, built as one record: the plain flags
+    test a through a itself, the starred ones, which follow them in the
+    record in the same order, through a*."""
     _require_top(S)
     idem = sum(1 << a for a, row in enumerate(S.mult) if row[a] == a)
     left, right, quasi_meet, quasi, bi, semiprime = _sided_masks(S, S.elements())
-    flags = _FlagMasks(idem, left, right, left & right, quasi_meet, quasi, bi, semiprime,
-                       None, None, None, None, None, None)
-    if not S.has(INVOLUTION):
-        return flags
-    sl, sr, sq_meet, sq, sbi, ssp = _sided_masks(S, S.star)
-    return flags._replace(star_left=sl, star_right=sr, star_quasi_meet=sq_meet,
-                          star_quasi=sq, star_bi=sbi, star_semiprime=ssp)
+    starred = _sided_masks(S, S.star) if S.has(INVOLUTION) else (None,) * 6
+    return _FlagMasks(idem, left, right, left & right, quasi_meet, quasi, bi, semiprime,
+                      *starred)
 
 
 def _sided_masks(S: OrderedAlgebra, through) -> tuple[int, ...]:

@@ -111,6 +111,24 @@ def oracle_bounds_tables(leq):
     return tuple(join_t), tuple(meet_t)
 
 
+def oracle_star_on_bounds(S):
+    """(guard, ok) of Proposition 5 on S from its definition: bit a*n + b of
+    guard is set where a v b or a ^ b exists, and of ok where besides
+    (a v b)* = a* v b* wherever a v b exists and (a ^ b)* = a* ^ b* wherever
+    a ^ b exists, every bound found by scanning the raw order."""
+    n, star = S.n, S.raw.star
+    guard = ok = 0
+    for a in range(n):
+        for b in range(n):
+            bounds = [(scan(S, a, b), scan(S, star[a], star[b])) for scan in (scan_join, scan_meet)]
+            existing = [(u, v) for u, v in bounds if u is not None]
+            if existing:
+                guard |= 1 << a * n + b
+                if all(star[u] == v for u, v in existing):
+                    ok |= 1 << a * n + b
+    return guard, ok
+
+
 def greatest_element(leq):
     """The first t with u <= t for every u, else None."""
     for t in range(len(leq)):

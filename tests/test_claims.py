@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import os
+import random
 
 import pytest
 
@@ -13,14 +14,20 @@ from starsemi import (
     regularity_profile, replay_counterexample, report_record, search_counterexample,
     thm26_set, validate_structure,
 )
+from starsemi import claims
 from starsemi.claims import (
-    CONDITIONS, FAIL, ClaimReport, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP, _plan,
+    CONDITIONS, FAIL, ClaimReport, MUTANT, NOT_APPLICABLE, PASS, PROOF_STEP, _body_prop05, _plan,
 )
 from starsemi.fileformat import load_structure
+from starsemi.sampling import random_models
+from starsemi.structure import _STAR_BOUNDS_CACHE_SIZE, _lazy, _star_bounds, bounds_tables
 
 from conftest import STRUCTURES, catalog
 
-from support import chain2, example2, mk, one_point, oracle_classify, reference_check, scan_meet
+from support import (
+    chain2, example2, mk, one_point, oracle_classify, oracle_star_on_bounds, reference_check,
+    scan_meet, with_relabelings,
+)
 
 # sha256 of json.dumps(report_record(r, S)) + "\n" over the involution-poe
 # catalog of one order, every claim and then every mutant in registry order
@@ -298,6 +305,20 @@ def test_prop17_and_prop25_reg_report_alike(catalog_upto_4):
         assert check_claim(S, "prop25-reg") == check_claim(S, "prop25-reg", ctx)
 
 
+def test_analysis_facts_are_computed_once_per_analysis(monkeypatch):
+    calls = []
+    classify = claims.classify_all
+    monkeypatch.setattr(claims, "classify_all", lambda S: calls.append(S) or classify(S))
+    S, _ = chain2()
+    first, second = StructureAnalysis(S), StructureAnalysis(S)
+    assert first.flag_masks is first.flag_masks
+    assert second.flag_masks == first.flag_masks
+    assert calls == [S, S]
+    for name in ("flag_masks", "failure_masks", "filter_masks", "filter_classes", "partition",
+                 "window_masks"):
+        assert isinstance(getattr(StructureAnalysis, name), _lazy)
+
+
 def test_outcome_runs_each_body_once():
     S, _ = chain2()
     runs = []
@@ -436,3 +457,83 @@ def test_check_claim_matches_an_independent_dispatch(catalog_upto_4):
             assert got == reference_check(S, cid, reference_ctx), (cid, S.raw)
             assert rep.variables == get_claim(cid).variables
     assert _plan.cache_info().currsize == len({S.tiers for S in structures})
+
+
+def _random_starred_relations(count, seed):
+    """Raw structures of 1-6 points with random tables, relations of random
+    density, most of them not partial orders, and random stars."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        density = rng.random()
+        mult = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+        leq = tuple(tuple(rng.random() < density for _ in range(n)) for _ in range(n))
+        star = list(range(n))
+        rng.shuffle(star)
+        out.append(RawStructure(n=n, mult=mult, leq=leq, star=tuple(star)))
+    return out
+
+
+def _prop05(S):
+    """The prop05 outcome of S, with the guard and the holding instances."""
+    ctx = StructureAnalysis(S)
+    _, guard, ok = _body_prop05(ctx)
+    return ctx.outcome(_body_prop05), guard, guard & ok
+
+
+def test_prop05_is_the_same_with_a_cold_and_a_warm_star_bounds_cache(catalog_upto_4):
+    # each structure's prop05 from an empty cache, then all of them in turn
+    # from the cache the others left: masks kept under a key coarser than
+    # the join table, the meet table and the star would hand one structure
+    # the masks of another
+    raws = with_relabelings([S.raw for S in catalog_upto_4], seed=30)
+    raws += [raw for raw in map(load_structure, sorted(STRUCTURES.glob("*.txt")))
+             if raw.star is not None]
+    raws += _random_starred_relations(300, seed=2030)
+    structures = [validate_structure(raw)[0] for raw in raws]
+    structures += random_models(60, 8, (INVOLUTION, POE), seed=2031)
+    assert max(S.n for S in structures) > 6
+    # the inputs hold structures whose masks differ while their stars agree,
+    # and while their join tables and stars agree (not on partial orders,
+    # where the join table determines the order)
+    oracle = [oracle_star_on_bounds(S) for S in structures]
+    by_star, by_join = {}, {}
+    for S, masks in zip(structures, oracle):
+        by_star.setdefault(S.star, set()).add(masks)
+        by_join.setdefault((S.join_table, S.star), set()).add(masks)
+    assert any(len(found) > 1 for found in by_star.values())
+    assert any(len(found) > 1 for found in by_join.values())
+    cold = []
+    for S in structures:
+        _star_bounds.cache_clear()
+        cold.append(_prop05(S))
+    for S, expected, masks in zip(structures, cold, oracle):
+        got = _prop05(S)
+        assert got == expected
+        assert got[1:] == masks
+    assert _star_bounds.cache_info().hits > 0
+
+
+def test_star_bounds_are_shared_by_one_order_and_star_and_stay_bounded(catalog_upto_4):
+    # two models with different tables on one order and one star
+    by_order = {}
+    for S in catalog_upto_4:
+        by_order.setdefault((S.leq, S.star), []).append(S)
+    first, second = next(group for group in by_order.values() if len(group) > 1)[:2]
+    assert first.mult != second.mult
+    _star_bounds.cache_clear()
+    got = [_body_prop05(StructureAnalysis(S)) for S in (first, second)]
+    assert got[0] == got[1]
+    info = _star_bounds.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    # more distinct triples than the cache holds: relations on 4 points
+    rng = random.Random(2032)
+    keys = set()
+    while len(keys) < _STAR_BOUNDS_CACHE_SIZE + 100:
+        leq = tuple(tuple(rng.random() < 0.5 for _ in range(4)) for _ in range(4))
+        star = tuple(rng.sample(range(4), 4))
+        keys.add((*bounds_tables(leq), star))
+    for key in keys:
+        _star_bounds(*key)
+    assert _star_bounds.cache_info().currsize == _STAR_BOUNDS_CACHE_SIZE

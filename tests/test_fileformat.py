@@ -66,6 +66,7 @@ def test_star_defaults_to_fixed_points():
     ("", "empty"),
     ("mult\n0\n", "first line"),
     ("n x\n", "bad element count"),
+    ("n 25\n", "element count must be at most 24"),
     ("n 2\nmult\n0 0\n", "needs 2 rows"),
     ("n 2\nmult\n0 0 0\n0 0\n", "3 entries"),
     ("n 2\nmult\n0 0\n0 9\n", "unknown element label"),
@@ -89,6 +90,36 @@ def test_error_carries_line_number():
     with pytest.raises(FormatError) as err:
         parse_structure("n 2\nmult\n0 0\n0 7\n", source="f.txt")
     assert str(err.value).startswith("f.txt:4:")
+
+
+def test_a_large_element_count_is_refused_on_its_line():
+    # refused before the star section would build a list of n entries or
+    # the pairs be looked up among n default labels
+    with pytest.raises(FormatError) as err:
+        parse_structure("n 1000000\nstar\n0 -> 1\nleq\n0 <= 1\n", source="big.txt")
+    assert str(err.value) == "big.txt:1: element count must be at most 24, got 1000000"
+
+
+@pytest.mark.parametrize("section", ["mult\n0 0 0\n0 0 0\n0 0 0\n", "leq\n0 <= 1\n",
+                                     "star\n0 -> 1\n1 -> 0\n"])
+def test_labels_after_a_section_that_names_elements_are_refused(section):
+    # read after the section, the labels would rename the elements it named
+    text = "n 3\n" + section + "labels 2 1 0\n"
+    with pytest.raises(FormatError) as err:
+        parse_structure(text, source="late.txt")
+    line = 2 + section.count("\n")
+    assert str(err.value) == f"late.txt:{line}: labels must come before mult, leq and star"
+
+
+def test_labels_before_the_sections_name_their_elements():
+    raw = parse_structure("n 3\nlabels 2 1 0\nleq\n0 <= 1\nstar\n2 -> 1\n1 -> 2\n"
+                          "mult\n0 0 0\n0 0 0\n0 0 0\n")
+    # the label 0 is element 2 and the label 1 element 1
+    assert raw.leq[2][1] and not raw.leq[0][1]
+    assert raw.star == (1, 0, 2)
+    text = serialize_structure(raw)
+    assert "0 <= 1" in text and "2 -> 1" in text
+    assert parse_structure(text) == raw
 
 
 def test_serializer_emits_transitive_reduction():

@@ -22,9 +22,9 @@ from starsemi.sampling import random_model, random_models
 from starsemi.ideals import in_ideal_generated
 from starsemi.fileformat import load_structure
 from starsemi.structure import (
-    _RECORD_CACHE_SIZE, _RECORD_MAX_ORDER, _TABLE_FACTS_CACHE_SIZE, _accepted_structure,
-    _cached_order_record, _order_record, _pair_failures, _table_facts, bounds_tables, chain_leq,
-    reflexive_transitive_closure,
+    _RECORD_CACHE_SIZE, _RECORD_MAX_ORDER, _TABLE_FACTS_CACHE_SIZE, OrderedAlgebra,
+    _accepted_structure, _cached_order_record, _lazy, _order_record, _pair_failures, _table_facts,
+    bounds_tables, chain_leq, reflexive_transitive_closure,
 )
 import random
 from itertools import islice
@@ -422,3 +422,38 @@ def test_record_cache_shares_small_orders_and_stays_bounded():
     for k in range(_RECORD_CACHE_SIZE + 100):
         _order_record(tuple(tuple(bool(k >> 4 * a + b & 1) for b in range(4)) for a in range(4)))
     assert _cached_order_record.cache_info().currsize == _RECORD_CACHE_SIZE
+
+
+class _Counted:
+    """An object with one lazy attribute that counts its computations."""
+
+    calls = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    @_lazy
+    def doubled(self):
+        """Twice the value."""
+        _Counted.calls += 1
+        return 2 * self.value
+
+
+def test_lazy_attribute_is_computed_once_per_instance():
+    _Counted.calls = 0
+    first, second = _Counted(1), _Counted(5)
+    assert (first.doubled, first.doubled, second.doubled, first.doubled) == (2, 2, 10, 2)
+    assert _Counted.calls == 2
+    assert vars(first) == {"value": 1, "doubled": 2}
+    # read on the class, the attribute is the descriptor
+    assert isinstance(_Counted.doubled, _lazy) and _Counted.doubled.__doc__ == "Twice the value."
+    assert isinstance(OrderedAlgebra._facts, _lazy)
+
+
+def test_table_facts_take_no_part_in_equality_or_repr():
+    raw = RawStructure(n=3, mult=((0,) * 3,) * 3, leq=chain_leq(3), star=(0, 1, 2))
+    read, unread = validate_structure(raw)[0], validate_structure(raw)[0]
+    assert read._facts == _table_facts(raw.mult, raw.star, read.e)
+    assert "_facts" in vars(read) and "_facts" not in vars(unread)
+    assert read == unread and hash(read) == hash(unread)
+    assert repr(read) == repr(unread)
