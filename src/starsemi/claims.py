@@ -8,18 +8,19 @@ failing an antecedent, a meet that does not exist) are vacuous and not
 counted. A condition is a conjunction of claim bodies, since the paper's
 hypotheses are statements that other claims conclude; it holds when none of
 its bodies has a failing instance. ``StructureAnalysis.outcome`` runs each
-body at most once per structure, so a body that is both a hypothesis and a
+body at most once per analysis, so a body that is both a hypothesis and a
 claim (or two claim ids sharing one body) costs one evaluation. A claim
 never re-uses the characterization it asserts: bodies go through the
-definitional operations of the ideals/regularity/filters modules, shared per
-structure by ``StructureAnalysis``, and evaluate products, stars, bounds and
-the order by reading the structure's tables directly, or the facts of its
-table, star and top, which the structures with the same three share. The one
-body that reads only the join and meet tables and the star, ``prop05``,
-reads its masks from a record kept per such triple (``_star_bounds``), so it
-runs its loop once per order and star rather than once per structure. What
-a check does besides running bodies (the tier test, the hypothesis and the
-not-applicable reports) is settled once per tier set, in ``_plan``.
+definitional operations of the ideals/regularity/filters modules, whose
+masks each structure keeps for every reader, and evaluate products, stars,
+bounds and the order by reading the structure's tables directly, or the
+facts of its table, star and top, which the structures with the same three
+share. The one body that reads only the join and meet tables and the star,
+``prop05``, reads its masks from a record kept per such triple
+(``_star_bounds``), so it runs its loop once per order and star rather than
+once per structure. What a check does besides running bodies (the tier
+test, the hypothesis and the not-applicable reports) is settled once per
+tier set, in ``_plan``.
 
 Claim ids are stable. Theorems stated as equivalences are split into -fwd
 and -conv entries because the two directions carry different hypotheses;
@@ -73,16 +74,20 @@ class ClaimReport:
 
 
 class StructureAnalysis:
-    """The structure facts that the claim checks on one structure share, each
-    computed once, on first use, as bitmasks: the classification flags (from
-    the ``classify_all`` pass), the regularity failures, and the filter,
-    filter class and star window {y | x <= e y* e} of every element, each the
-    mask form of what its module's public function returns; the filter-class
-    partition; and, through ``outcome``, the outcome of every claim body
-    that a verdict or a hypothesis has asked for. The facts are lazy
-    attributes (``structure._lazy``), kept in the analysis itself; what the
-    bodies read of the table, star and top, or of the order and star, comes
-    from the records that the structures with the same ones share."""
+    """The structure facts that the claim checks on one structure read, as
+    bitmasks: the classification flags (from the ``classify_all`` pass), the
+    regularity failures, and the filter, filter class and star window
+    {y | x <= e y* e} of every element, each the mask form of what its
+    module's public function returns; the filter-class partition; and,
+    through ``outcome``, the outcome of every claim body that a verdict or a
+    hypothesis has asked for. The facts are lazy attributes
+    (``structure._lazy``) that read the masks the structure keeps
+    (``structure._per_structure``), so every analysis of one structure, and
+    every public function that returns one of these facts, shares one build
+    of each; the partition (built from the kept classes) and the outcomes
+    are kept in the analysis itself. What the bodies read of the table,
+    star and top, or of the order and star, comes from the records that the
+    structures with the same ones share."""
 
     def __init__(self, S: OrderedAlgebra):
         self.S = S
@@ -119,7 +124,7 @@ class StructureAnalysis:
 
     @_lazy
     def filter_classes(self):
-        return _filter_classes(self.filter_masks)
+        return _filter_classes(self.S)
 
     @_lazy
     def partition(self):
@@ -747,9 +752,10 @@ def check_all(S: OrderedAlgebra,
 def replay_counterexample(S: OrderedAlgebra, report: ClaimReport) -> bool:
     """Re-evaluate a failed claim body on a fresh ``StructureAnalysis`` and
     test the reported witness's binding; True when the witness is an
-    instance that violates the claim. The analysis is fresh, but the shared
-    records are not rebuilt: ``prop05`` reads the masks kept for the order
-    and star of S, as ``prop23`` reads its table facts."""
+    instance that violates the claim. The analysis is fresh, so the body
+    runs again, but what it reads is not rebuilt: the flags, failures,
+    filters and windows that S keeps, the table facts of S, and, for
+    ``prop05``, the masks kept for the order and star of S."""
     if report.status != FAIL or report.counterexample is None:
         raise ValueError("report carries no counterexample")
     arity, guard, ok = _lookup(report.claim_id).body(StructureAnalysis(S))

@@ -21,10 +21,11 @@ from .claims import (
 )
 from .enumeration import ModelSpec, _sweep, compatible_orders, write_catalog
 from .fileformat import FormatError, load_structure, serialize_structure
+from .filters import filter_generated, n_class_partition, thm26_set
 from .ideals import ElementClassification, classify_all
 from .regularity import regularity_profile
 from .structure import (
-    ALL_TIERS, BITS, INVOLUTION, PO_GROUPOID, StructureError,
+    ALL_TIERS, INVOLUTION, PO_GROUPOID, StructureError,
     tier_closure, transitive_reduction_pairs, validate_structure,
 )
 
@@ -185,14 +186,13 @@ def _cmd_filters(args, out):
     if "po-semigroup" not in S.tiers:
         raise _Failure("filters need an associative structure (po-semigroup tier)")
     # one saturation per element: the rows and the classes share the filters
-    ctx = StructureAnalysis(S)
+    # that S keeps
     has_window = S.has(INVOLUTION) and S.e is not None
     rows = [{"element": S.label(x),
-             "filter": sorted(S.label(y) for y in BITS[members]),
-             "window": (sorted(S.label(y) for y in BITS[ctx.window_masks[x]])
-                        if has_window else None)}
-            for x, members in enumerate(ctx.filter_masks)]
-    part = ctx.partition
+             "filter": sorted(S.label(y) for y in filter_generated(S, x).members),
+             "window": sorted(S.label(y) for y in thm26_set(S, x)) if has_window else None}
+            for x in S.elements()]
+    part = n_class_partition(S)
     blocks = [{"members": sorted(S.label(y) for y in blk),
                "greatest": S.label(g) if g is not None else None}
               for blk, g in zip(part.blocks, part.block_greatest)]

@@ -105,6 +105,11 @@ class ModelSpec:
     limit: Optional[int] = None
 
     def __post_init__(self):
+        for name, value in (("order", self.order), ("limit", self.limit)):
+            if name == "limit" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if self.order > EXHAUSTIVE_MAX_ORDER:

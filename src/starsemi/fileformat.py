@@ -27,10 +27,15 @@ from .structure import (
     OrderedAlgebra,
     RawStructure,
     StructureError,
+    _SECTION_KEYWORDS,
     antisymmetry_witness,
     reflexive_transitive_closure,
     transitive_reduction_pairs,
 )
+
+
+# the sections that may follow the first line, each ending a pair section
+_SECTIONS = _SECTION_KEYWORDS[1:]
 
 
 class FormatError(ValueError):
@@ -98,7 +103,7 @@ def parse_structure(text: str, source: str = "<string>") -> RawStructure:
             if len(set(labels)) != n:
                 raise FormatError("labels must be distinct", lineno, source)
             for lab in labels:
-                if lab in ("labels", "mult", "leq", "star", "n"):
+                if lab in _SECTION_KEYWORDS:
                     raise FormatError(f"label {lab!r} collides with a section keyword", lineno, source)
             names = labels
             seen.add(key)
@@ -121,7 +126,7 @@ def parse_structure(text: str, source: str = "<string>") -> RawStructure:
             seen.add(key)
             leq_line = lineno
             pos += 1
-            while pos < len(lines) and lines[pos][1][0] not in ("labels", "mult", "leq", "star"):
+            while pos < len(lines) and lines[pos][1][0] not in _SECTIONS:
                 plineno, ptok = lines[pos]
                 if len(ptok) != 3 or ptok[1] != "<=":
                     raise FormatError("expected 'x <= y'", plineno, source)
@@ -132,7 +137,7 @@ def parse_structure(text: str, source: str = "<string>") -> RawStructure:
             pos += 1
             star = list(range(n))
             listed: set[int] = set()
-            while pos < len(lines) and lines[pos][1][0] not in ("labels", "mult", "leq", "star"):
+            while pos < len(lines) and lines[pos][1][0] not in _SECTIONS:
                 plineno, ptok = lines[pos]
                 if len(ptok) != 3 or ptok[1] != "->":
                     raise FormatError("expected 'x -> y'", plineno, source)

@@ -5,11 +5,13 @@ closure rules (products, upward closure, divisor extraction) on the up-set
 bitmasks of the structure and the divisor bitmasks of its table facts. The
 exponential subset-intersection oracle exists solely to certify the
 saturation: it tests every subset once per (table, order), on bitmasks it
-builds from the raw tables alone. Each fact is computed as bitmasks, the
-filter and the window of every element and the filter class of every
-element, and the public functions return those masks as sets; the claim checks
-(``claims.StructureAnalysis``) and the ``filters`` command read the masks
-directly, so the partition costs no second saturation.
+builds from the raw tables alone. Each fact is built as bitmasks, for every
+element at once: the filter, the filter class and the window of every
+element. A structure keeps each one it has been asked for
+(``structure._per_structure``), so ``filter_generated``, ``thm26_set``,
+``n_class_partition``, the claim checks (``claims.StructureAnalysis``) and
+the ``filters`` command all read one saturation per element of a structure;
+the public functions return the kept masks as sets.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Optional
 
-from .structure import BITS, INVOLUTION, OrderedAlgebra, _check_element
+from .structure import BITS, INVOLUTION, OrderedAlgebra, _check_element, _per_structure
 
 ORACLE_MAX_ORDER = 12
 
@@ -51,7 +53,7 @@ class NClassPartition:
 def filter_generated(S: OrderedAlgebra, x: int) -> FilterSet:
     """Saturate {x} under product, upward and divisor-extraction closure."""
     _check_element(S, x)
-    return FilterSet(generator=x, members=frozenset(BITS[_saturate(S, x)]))
+    return FilterSet(generator=x, members=frozenset(BITS[_filter_masks(S)[x]]))
 
 
 def _saturate(S: OrderedAlgebra, x: int) -> int:
@@ -78,8 +80,9 @@ def _saturate(S: OrderedAlgebra, x: int) -> int:
     return members
 
 
+@_per_structure
 def _filter_masks(S: OrderedAlgebra) -> tuple[int, ...]:
-    """The member mask of the filter generated by each element."""
+    """The member mask of the filter generated by each element, kept by S."""
     return tuple(_saturate(S, x) for x in S.elements())
 
 
@@ -153,13 +156,13 @@ def thm26_set(S: OrderedAlgebra, x: int) -> frozenset[int]:
     """The set {y | x <= e y* e}, the claimed description of the filter of x
     on star-intra-regular structures (see claims thm26-fwd/thm26-conv)."""
     _check_element(S, x)
-    up_x = S.up_masks[x]
-    return frozenset(y for y, v in enumerate(_sandwiches(S)) if up_x >> v & 1)
+    return frozenset(BITS[_window_masks(S)[x]])
 
 
+@_per_structure
 def _window_masks(S: OrderedAlgebra) -> tuple[int, ...]:
-    """The mask of {y | x <= e y* e} for each x: y joins the window of every
-    x below e y* e."""
+    """The mask of {y | x <= e y* e} for each x, kept by S: y joins the
+    window of every x below e y* e."""
     down = S.down_masks
     out = [0] * S.n
     for y, v in enumerate(_sandwiches(S)):
@@ -180,12 +183,14 @@ def _sandwiches(S: OrderedAlgebra) -> tuple[int, ...]:
 
 def n_class_partition(S: OrderedAlgebra) -> NClassPartition:
     """Group elements by equality of their generated filters."""
-    return _partition(S, _filter_classes(_filter_masks(S)))
+    return _partition(S, _filter_classes(S))
 
 
-def _filter_classes(filters) -> tuple[int, ...]:
-    """For each element, the mask of the elements whose entry of ``filters``
-    (the generated filter of each element, in element order) equals its own."""
+@_per_structure
+def _filter_classes(S: OrderedAlgebra) -> tuple[int, ...]:
+    """For each element, the mask of the elements that generate the same
+    filter, kept by S."""
+    filters = _filter_masks(S)
     same: dict[int, int] = {}
     for x, members in enumerate(filters):
         same[members] = same.get(members, 0) | 1 << x

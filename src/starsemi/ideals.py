@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .structure import INVOLUTION, OrderedAlgebra, _check_element
+from .structure import INVOLUTION, OrderedAlgebra, _check_element, _per_structure
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,11 @@ class _FlagMasks(NamedTuple):
     star_semiprime: Optional[int]
 
 
+@_per_structure
 def _flag_masks(S: OrderedAlgebra) -> _FlagMasks:
-    """Every flag of every element, built as one record: the plain flags
-    test a through a itself, the starred ones, which follow them in the
-    record in the same order, through a*."""
+    """Every flag of every element, built as one record, which S keeps: the
+    plain flags test a through a itself, the starred ones, which follow them
+    in the record in the same order, through a*."""
     _require_top(S)
     idem = sum(1 << a for a, row in enumerate(S.mult) if row[a] == a)
     left, right, quasi_meet, quasi, bi, semiprime = _sided_masks(S, S.elements())

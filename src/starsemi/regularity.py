@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .structure import BITS, INVOLUTION, OrderedAlgebra
+from .structure import BITS, INVOLUTION, OrderedAlgebra, _per_structure
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,11 @@ class _Failures(NamedTuple):
     star_intra_regular: Optional[int]
 
 
+@_per_structure
 def _failure_masks(S: OrderedAlgebra) -> _Failures:
     """Each property is a <= f(a) for every a; its failures are the a whose
     up-set misses f(a): a e a, e a a e, a* e a* and e a* a* e, read from the
-    table facts."""
+    table facts. S keeps them."""
     if S.e is None:
         raise ValueError("regularity needs a structure with a greatest element")
     up, facts = S.up_masks, S._facts

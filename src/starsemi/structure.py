@@ -16,14 +16,17 @@ read of the table, the star and the top alone is a second record, built once
 per such triple while it stays in a small cache; what Proposition 5 reads of
 the join and meet tables and the star is a third, built once per such triple
 while it stays in a bounded cache. A validated structure reads its table
-facts, and the claim analysis each of its per-structure facts, through
-``_lazy``, on first use.
+facts through ``_lazy`` on first use. What the analysis modules build of one
+whole structure (the flags, the regularity failures, the filters, their
+classes and the windows) the structure keeps itself, through
+``_per_structure``, so that every reader shares one build; those facts live
+and die with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import chain, compress, repeat
 from typing import Iterable, NamedTuple, Optional
 
@@ -74,6 +77,26 @@ class _lazy:
             return self
         value = obj.__dict__[self.name] = self.fn(obj)
         return value
+
+
+def _per_structure(fn):
+    """A per-structure memo: ``_per_structure(fn)(S)`` calls ``fn(S)`` on the
+    first call for S and keeps its value in the instance ``__dict__`` of S,
+    under the qualified name of ``fn``, which no attribute can have; later
+    calls read it there. A call that raises keeps nothing. Like ``_lazy``,
+    it takes no lock and adds nothing to dataclass equality, hash or repr,
+    and the value lives and dies with S."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @wraps(fn)
+    def kept(S):
+        kept_facts = S.__dict__
+        if key in kept_facts:
+            return kept_facts[key]
+        value = kept_facts[key] = fn(S)
+        return value
+
+    return kept
 
 
 class _Memo(dict):
@@ -134,6 +157,12 @@ def tier_closure(tiers: Iterable[str]) -> frozenset[str]:
     return frozenset(out)
 
 
+# The section keywords of the text format (``fileformat``), the first line's
+# first: no label may be one, since a pair line that starts with one reads as
+# a new section
+_SECTION_KEYWORDS = ("n", "labels", "mult", "leq", "star")
+
+
 def _as_label_tuple(labels, n: int) -> tuple[str, ...]:
     labels = tuple(str(x) for x in labels)
     if len(labels) != n:
@@ -143,6 +172,8 @@ def _as_label_tuple(labels, n: int) -> tuple[str, ...]:
     for lab in labels:
         if not lab or any(c.isspace() for c in lab) or "#" in lab:
             raise StructureError(f"bad label {lab!r}: must be nonempty, without whitespace or '#'")
+        if lab in _SECTION_KEYWORDS:
+            raise StructureError(f"label {lab!r} collides with a section keyword")
     return labels
 
 
@@ -235,7 +266,9 @@ class OrderedAlgebra:
     the record, so they take no part in equality or repr. The facts of the
     table, the star and the top are read on first use from a small cache
     shared by the structures with the same three, and kept outside the
-    fields, so they too take no part in equality or repr."""
+    fields, as are the facts that the analysis modules keep in the
+    structure (``_per_structure``), so they too take no part in equality,
+    hash or repr."""
 
     raw: RawStructure
     tiers: frozenset[str]

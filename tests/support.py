@@ -8,9 +8,14 @@ are checked against something they do not share code with.
 import random
 from itertools import permutations, product
 
-from starsemi import ALL_TIERS, PO_GROUPOID, RawStructure, get_claim, validate_structure
+from starsemi import (
+    ALL_TIERS, INVOLUTION, PO_GROUPOID, POE, RawStructure, check_all, get_claim, load_structure,
+    random_models, validate_structure,
+)
 from starsemi.claims import CONDITIONS, _lookup
 from starsemi.structure import equality_leq, reflexive_transitive_closure
+
+from conftest import STRUCTURES
 
 EXAMPLE2_MULT = (
     (0, 0, 0, 0, 0),
@@ -532,3 +537,26 @@ def reference_check(S, claim_id, ctx):
     if failing:
         return "fail", "", len(instances), bindings[failing[0]], False
     return "pass", "", len(instances), None, not instances
+
+
+def kept_fact_raws(catalog):
+    """The structures on which a structure's kept facts are compared cold
+    and warm: the models of ``catalog`` (many share an order or a table),
+    the shipped structure files, and 60 random {involution, poe} models of
+    order at most 8."""
+    raws = [S.raw for S in catalog]
+    raws += [load_structure(path) for path in sorted(STRUCTURES.glob("*.txt"))]
+    raws += [S.raw for S in random_models(60, 8, (INVOLUTION, POE), seed=20261021)]
+    return raws
+
+
+def cold_and_warm(raw, facts):
+    """(S, facts(S), facts(T)) for two fresh structures S and T validated
+    from ``raw``: S is read first, so what it keeps is built by ``facts``; T
+    only after every claim has been checked on it, so the claim analysis
+    built what T keeps."""
+    cold = validate_structure(raw)[0]
+    got = facts(cold)
+    warm = validate_structure(raw)[0]
+    check_all(warm)
+    return cold, got, facts(warm)

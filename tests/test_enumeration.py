@@ -545,6 +545,23 @@ def test_negative_limit_is_refused():
         ModelSpec(order=3, required_tiers=frozenset({INVOLUTION, POE}), limit=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("order", 2.5), ("order", True), ("order", "3"), ("limit", 2.5), ("limit", True),
+    ("limit", "2"),
+])
+@pytest.mark.parametrize("use", [
+    ModelSpec, lambda **kw: collect_models(ModelSpec(**kw)),
+    lambda **kw: list(enumerate_models(ModelSpec(**kw))),
+], ids=["ModelSpec", "collect_models", "enumerate_models"])
+def test_a_non_integer_order_or_limit_is_refused(use, field, value):
+    # a float limit once let collect_models report all 34 order-3 models as
+    # a complete stream while enumerate_models raised
+    kw = dict(order=3, required_tiers=frozenset({INVOLUTION, POE}), limit=2)
+    kw[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        use(**kw)
+
+
 def test_collect_and_search_agree_on_the_partial_stream_marker():
     tiers = frozenset({INVOLUTION, POE})
     total = INVOLUTION_POE_MODELS[3]

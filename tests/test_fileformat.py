@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starsemi import (
-    FormatError, INVOLUTION, parse_structure, serialize_structure, validate_structure,
+    FormatError, INVOLUTION, RawStructure, StructureError, parse_structure, serialize_structure,
+    validate_structure,
 )
 from starsemi.fileformat import load_structure
 from starsemi.sampling import random_model
 
+from conftest import STRUCTURES
 from support import EXAMPLE2_MULT, EXAMPLE2_STAR
 
 
@@ -144,3 +146,26 @@ def test_round_trip_is_semantic_identity(seed):
 def test_round_trip_example2(example2_path):
     raw = load_structure(example2_path)
     assert parse_structure(serialize_structure(raw)) == raw
+
+
+@pytest.mark.parametrize("keyword", ["n", "labels", "mult", "leq", "star"])
+def test_a_section_keyword_is_refused_as_a_label(keyword):
+    # the parser refuses such a label, so the structure could not be read back
+    message = f"label '{keyword}' collides with a section keyword"
+    with pytest.raises(StructureError, match=f"^{message}$"):
+        RawStructure(n=2, mult=((0, 0), (0, 1)), leq=((True, True), (False, True)),
+                     labels=(keyword, "b"))
+    text = f"n 2\nlabels {keyword} b\nmult\n{keyword} {keyword}\n{keyword} b\n"
+    with pytest.raises(FormatError, match=message):
+        parse_structure(text)
+
+
+def test_the_labels_of_every_shipped_structure_round_trip():
+    for path in sorted(STRUCTURES.glob("*.txt")):
+        raw = load_structure(path)
+        labels = tuple(raw.label(x) for x in range(raw.n))  # 0..n-1 where the file has none
+        again = parse_structure(serialize_structure(raw))
+        assert again.labels == labels
+        assert (again.mult, again.leq, again.star) == (raw.mult, raw.leq, raw.star)
+        assert RawStructure(n=raw.n, mult=raw.mult, leq=raw.leq, star=raw.star,
+                            labels=labels) == again

@@ -7,16 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starsemi import (
-    INVOLUTION, PO_SEMIGROUP, POE, RawStructure, StructureAnalysis,
-    filter_generated, filter_oracle, n_class_partition, thm26_set, validate_structure,
+    INVOLUTION, PO_SEMIGROUP, POE, RawStructure, StructureAnalysis, check_all, classify_all,
+    filter_generated, filter_oracle, n_class_partition, regularity_profile, thm26_set,
+    validate_structure,
 )
+from starsemi import filters
 from starsemi.fileformat import load_structure
 from starsemi.filters import _ORACLE_CACHE_SIZE, ORACLE_MAX_ORDER, _oracle_masks, is_filter
 from starsemi.sampling import random_model, random_models
 
 from conftest import REPO_ROOT, STRUCTURES
 from support import (
-    chain2, mk, one_point, oracle_filter_intersection, oracle_filter_saturation, oracle_thm26_set,
+    chain2, cold_and_warm, example2, kept_fact_raws, mk, one_point, oracle_filter_intersection,
+    oracle_filter_saturation, oracle_thm26_set,
 )
 
 
@@ -227,3 +230,80 @@ def test_analysis_caches_equal_public_functions_on_random_structures(seed):
     _assert_analysis_matches_public_functions(random_model(rng, 8, (PO_SEMIGROUP,)))
     _assert_analysis_matches_public_functions(
         random_model(rng, 8, (PO_SEMIGROUP, POE, INVOLUTION)))
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of the filters-module function ``name``."""
+    calls = []
+    fn = getattr(filters, name)
+    monkeypatch.setattr(filters, name, lambda *args: calls.append(args) or fn(*args))
+    return calls
+
+
+def test_filter_facts_are_built_once_per_structure(monkeypatch):
+    saturations = _counted(monkeypatch, "_saturate")
+    sandwiches = _counted(monkeypatch, "_sandwiches")
+    S, _ = chain2()
+    for x in S.elements():
+        filter_generated(S, x)
+        thm26_set(S, x)
+    part = n_class_partition(S)
+    for ctx in (StructureAnalysis(S), StructureAnalysis(S)):
+        assert ctx.partition == part
+        ctx.filter_masks, ctx.filter_classes, ctx.window_masks
+    assert sorted(x for _, x in saturations) == list(S.elements())
+    assert len(sandwiches) == 1
+    # a structure with equal tables keeps its own facts
+    T, _ = chain2()
+    assert T == S and T is not S
+    assert n_class_partition(T) == part and thm26_set(T, 0) == thm26_set(S, 0)
+    assert len(saturations) == 2 * S.n and len(sandwiches) == 2
+
+
+def _filter_facts(S):
+    """What the public filter functions return on S; the windows are None
+    without a top or the involution tier."""
+    windows = None
+    if S.e is not None and S.has(INVOLUTION):
+        windows = [thm26_set(S, x) for x in S.elements()]
+    return [filter_generated(S, x) for x in S.elements()], windows, n_class_partition(S)
+
+
+def test_filter_facts_agree_cold_and_warm_and_with_the_oracles(catalog_upto_4):
+    for raw in kept_fact_raws(catalog_upto_4):
+        S, (found, windows, part), warm = cold_and_warm(raw, _filter_facts)
+        assert warm == (found, windows, part)
+        members = [oracle_filter_intersection(S, x) for x in S.elements()]
+        assert [f.members for f in found] == members
+        assert [f.generator for f in found] == list(S.elements())
+        if windows is not None:
+            assert windows == [oracle_thm26_set(S, x) for x in S.elements()]
+        classes = {frozenset(y for y in S.elements() if members[y] == m) for m in members}
+        assert set(part.blocks) == classes and len(part.blocks) == len(classes)
+        for blk, g in zip(part.blocks, part.block_greatest):
+            tops = [t for t in blk if all(S.le(y, t) for y in blk)]
+            assert g == (tops[0] if tops else None)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mk(((0, 0), (0, 0))), "greatest element"),           # no top
+    (lambda: mk(((0, 0), (0, 1)), pairs=((0, 1),)), "involution"),  # no star
+    (lambda: example2(), "greatest element"),                       # a star, no top
+])
+def test_a_failed_window_build_is_not_kept(build, message):
+    S, _ = build()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^thm26_set needs an? .*{message}"):
+            thm26_set(S, 0)
+    assert filter_generated(S, 0).members == oracle_filter_intersection(S, 0)
+
+
+def test_kept_facts_change_no_equality_hash_or_repr():
+    S, _ = example2(pairs=((1, 0), (2, 0), (3, 0), (4, 0)))
+    fresh = validate_structure(S.raw)[0]
+    before = repr(S), hash(S)
+    check_all(S)
+    _filter_facts(S)
+    classify_all(S), regularity_profile(S)
+    assert len(vars(S)) > len(vars(fresh))  # the facts are kept
+    assert S == fresh and (repr(S), hash(S)) == before == (repr(fresh), hash(fresh))

@@ -8,10 +8,13 @@ from starsemi import (
     classify_all, classify_element, generated_left, generated_right, in_ideal_generated,
     validate_structure,
 )
+from starsemi import ideals
 from starsemi.claims import _generated
 from starsemi.sampling import random_model, random_models
 
-from support import chain2, example2, mk, one_point, oracle_classify
+from support import (
+    chain2, cold_and_warm, example2, kept_fact_raws, mk, one_point, oracle_classify,
+)
 
 VEE_TIERS = (POE, VEE, PO_SEMIGROUP)
 
@@ -239,3 +242,43 @@ def test_classify_all_matches_table_oracle_on_random_structures(seed, with_star)
         S, _ = validate_structure(RawStructure(n=S.n, mult=S.mult, leq=S.leq))
     assert S.has(INVOLUTION) == with_star
     assert _flags(S) == oracle_classify(S)
+
+
+def test_flag_masks_are_built_once_per_structure(monkeypatch):
+    calls = []
+    sided = ideals._sided_masks
+    monkeypatch.setattr(ideals, "_sided_masks",
+                        lambda S, through: calls.append(S) or sided(S, through))
+    S, _ = chain2()  # with the involution tier: plain and starred masks, two calls a build
+    records = classify_all(S)
+    assert [classify_element(S, a) for a in S.elements()] == list(records)
+    first, second = StructureAnalysis(S), StructureAnalysis(S)
+    assert first.flag_masks is second.flag_masks is classify_all(S).masks is records.masks
+    assert calls == [S, S]
+    T, _ = chain2()  # equal tables, its own build
+    assert classify_all(T) == records and calls == [S, S, T, T]
+
+
+def _classification(S):
+    """classify_all and classify_element of every element, or None without a top."""
+    if S.e is None:
+        return None
+    return list(classify_all(S)), [classify_element(S, a) for a in S.elements()]
+
+
+def test_classification_agrees_cold_and_warm_and_with_the_oracle(catalog_upto_4):
+    for raw in kept_fact_raws(catalog_upto_4):
+        S, got, warm = cold_and_warm(raw, _classification)
+        assert warm == got
+        if got is not None:
+            records, elements = got
+            assert records == elements
+            assert _flags(S) == oracle_classify(S)
+
+
+def test_a_failed_classification_is_not_kept():
+    S, _ = example2()  # no top
+    for _ in range(2):
+        for call in (lambda: classify_all(S), lambda: classify_element(S, 0)):
+            with pytest.raises(ValueError, match="^operation needs a structure with a greatest"):
+                call()

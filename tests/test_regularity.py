@@ -1,8 +1,9 @@
 import pytest
 
-from starsemi import classify_all, regularity_profile
+from starsemi import INVOLUTION, StructureAnalysis, classify_all, regularity_profile
+from starsemi.regularity import _failure_masks
 
-from support import chain2, example2, mk, one_point
+from support import chain2, cold_and_warm, example2, kept_fact_raws, mk, one_point
 
 
 def test_chain2_all_four_properties():
@@ -71,3 +72,48 @@ def test_witnesses_replay():
     for a in p.star_intra_regular_failures:
         sa = S.star[a]
         assert not S.le(a, S.prod(S.e, sa, sa, S.e))
+
+
+def test_failures_are_built_once_per_structure():
+    S, _ = chain2()
+    kept = _failure_masks(S)
+    assert regularity_profile(S) == regularity_profile(S)
+    assert StructureAnalysis(S).failure_masks is StructureAnalysis(S).failure_masks is kept
+    T, _ = chain2()  # equal tables, its own build
+    assert _failure_masks(T) == kept and _failure_masks(T) is not kept
+
+
+def _oracle_profile(S):
+    """The failing elements of a <= a e a, a <= e a a e, a <= a* e a* and
+    a <= e a* a* e, from the raw tables with e found by a scan; the starred
+    ones are None without the involution tier."""
+    n, mult, leq = S.raw.n, S.raw.mult, S.raw.leq
+    e = next(t for t in range(n) if all(leq[a][t] for a in range(n)))
+
+    def failures(through):
+        return (tuple(a for a in range(n) if not leq[a][mult[mult[through[a]][e]][through[a]]]),
+                tuple(a for a in range(n)
+                      if not leq[a][mult[mult[mult[e][through[a]]][through[a]]][e]]))
+
+    starred = failures(S.raw.star) if S.has(INVOLUTION) else (None, None)
+    return failures(range(n)) + starred
+
+
+def _profile(S):
+    return None if S.e is None else regularity_profile(S)
+
+
+def test_profile_agrees_cold_and_warm_and_with_the_oracle(catalog_upto_4):
+    for raw in kept_fact_raws(catalog_upto_4):
+        S, got, warm = cold_and_warm(raw, _profile)
+        assert warm == got
+        if got is not None:
+            assert (got.regular_failures, got.intra_regular_failures, got.star_regular_failures,
+                    got.star_intra_regular_failures) == _oracle_profile(S)
+
+
+def test_a_failed_profile_is_not_kept():
+    S, _ = example2()  # no top
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^regularity needs a structure with a greatest"):
+            regularity_profile(S)

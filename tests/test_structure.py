@@ -23,8 +23,8 @@ from starsemi.ideals import in_ideal_generated
 from starsemi.fileformat import load_structure
 from starsemi.structure import (
     _RECORD_CACHE_SIZE, _RECORD_MAX_ORDER, _TABLE_FACTS_CACHE_SIZE, OrderedAlgebra,
-    _accepted_structure, _cached_order_record, _lazy, _order_record, _pair_failures, _table_facts,
-    bounds_tables, chain_leq, reflexive_transitive_closure,
+    _accepted_structure, _cached_order_record, _lazy, _order_record, _pair_failures,
+    _per_structure, _table_facts, bounds_tables, chain_leq, reflexive_transitive_closure,
 )
 import random
 from itertools import islice
@@ -448,6 +448,28 @@ def test_lazy_attribute_is_computed_once_per_instance():
     # read on the class, the attribute is the descriptor
     assert isinstance(_Counted.doubled, _lazy) and _Counted.doubled.__doc__ == "Twice the value."
     assert isinstance(OrderedAlgebra._facts, _lazy)
+
+
+def _halved(obj):
+    """Half the value, which must be even."""
+    _Counted.calls += 1
+    if obj.value % 2:
+        raise ValueError("odd")
+    return obj.value // 2
+
+
+def test_per_structure_memo_keeps_each_value_in_its_instance_and_no_failure():
+    _Counted.calls = 0
+    kept = _per_structure(_halved)
+    first, second, odd = _Counted(2), _Counted(6), _Counted(3)
+    assert (kept(first), kept(first), kept(second), kept(first)) == (1, 1, 3, 1)
+    assert _Counted.calls == 2
+    assert vars(first) == {"value": 2, f"{__name__}._halved": 1}
+    for _ in range(2):
+        with pytest.raises(ValueError, match="odd"):
+            kept(odd)
+    assert _Counted.calls == 4 and vars(odd) == {"value": 3}
+    assert kept.__wrapped__ is _halved and kept.__doc__ == _halved.__doc__
 
 
 def test_table_facts_take_no_part_in_equality_or_repr():
